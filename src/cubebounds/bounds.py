@@ -5,7 +5,9 @@ E[r1 - r0] over probability measures mu on the cube {(pi, r0, r1)},
 subject to four equality rows reproducing the observed joint, two
 second-moment budget rows, and normalization.  Measures are restricted
 to atoms on an interior midpoint grid, so the computed interval is an
-inner approximation of the continuum one: refining the grid can only
+inner approximation of the continuum one.  Refinement doubles the grid,
+and midpoint grids do not nest under doubling ((k - 1/2)/m is no point
+of the 2m grid), so a finer level can narrow the interval as well as
 widen it.
 
 Row order is fixed throughout: p01, p11, p00, p10, f, g, normalization.
@@ -28,12 +30,6 @@ from .core import (
     risk_x0,
     risk_x1,
 )
-
-# full coefficient caching is worthwhile up to this many columns (~117 MB)
-_CACHE_MAX_COLUMNS = 128 ** 3
-
-_ROW_COUNT = 7
-
 
 class InfeasibleBudgetError(RuntimeError):
     """The requested (f, g) admits no measure on any attempted grid."""
@@ -108,8 +104,6 @@ class GridColumns:
         self.joint = joint
         self.objective = objective
         self.axis = GridSpec(m).axis
-        self._cache: np.ndarray | None = None
-        self._cost_cache: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -145,38 +139,44 @@ class GridColumns:
             return self._row_values(4, pi, r0, r1)
         return self._row_values(5, pi, r0, r1)
 
-    # -- dense cache and slab iteration ----------------------------------------
+    def _scores(self, y, rows, cost_sign, pi, r0, r1):
+        """cost_sign * c - y . A at the points (pi, r0, r1), broadcast together."""
+        acc = np.zeros(np.broadcast_shapes(np.shape(pi), np.shape(r0), np.shape(r1)))
+        if cost_sign != 0.0:
+            acc += cost_sign * self._cost_values(pi, r0, r1)
+        for row in rows:
+            w = y[row]
+            if w != 0.0:
+                acc -= w * self._row_values(row, pi, r0, r1)
+        return acc
 
-    def _matrix(self) -> np.ndarray:
-        if self._cache is None:
-            m = self.m
-            out = np.empty((_ROW_COUNT, m ** 3))
-            pi = self.axis[:, None, None]
-            r0 = self.axis[None, :, None]
-            r1 = self.axis[None, None, :]
-            shape = (m, m, m)
-            for row in range(_ROW_COUNT):
-                out[row] = np.broadcast_to(
-                    self._row_values(row, pi, r0, r1), shape).reshape(-1)
-            self._cache = out
-        return self._cache
+    def _candidates(self, y, rows, cost_sign):
+        """Flat column indices and scores of the pricing candidates.
 
-    def _cost_vector(self) -> np.ndarray:
-        if self._cost_cache is None:
-            pi = self.axis[:, None, None]
-            r0 = self.axis[None, :, None]
-            r1 = self.axis[None, None, :]
-            self._cost_cache = np.ascontiguousarray(np.broadcast_to(
-                self._cost_values(pi, r0, r1), (self.m,) * 3).reshape(-1))
-        return self._cost_cache
-
-    def _slabs(self):
-        """Yield (offset, pi, r0, r1) per pi-plane, arrays shaped (m, m)."""
+        For fixed (pi, r0) every row and every objective is a quadratic in
+        r1, and so is the score cost_sign * c - y . A.  A quadratic is
+        monotone on either side of its vertex, so over the r1 axis both its
+        minimum and its largest absolute value lie at an axis end or at a
+        grid neighbour of the vertex: four candidates per (pi, r0), scored
+        with the same formulas as `columns` and `cost`.
+        """
         m = self.m
-        r0 = self.axis[:, None]
-        r1 = self.axis[None, :]
-        for i in range(m):
-            yield i * m * m, np.full((m, m), self.axis[i]), r0, r1
+        pi = self.axis[:, None, None]
+        r0 = self.axis[None, :, None]
+        # the quadratic's coefficients from its values at r1 = 0, 1/2, 1
+        q0, qh, q1 = np.moveaxis(
+            self._scores(y, rows, cost_sign, pi, r0, np.array([0.0, 0.5, 1.0])), -1, 0)
+        curv = 2.0 * (q0 - 2.0 * qh + q1)
+        slope = q1 - q0 - curv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -slope / (2.0 * curv) * m - 0.5  # fractional axis index
+        # a linear score (curv = 0) has no vertex; the axis ends cover it
+        vertex = np.clip(np.nan_to_num(vertex), 0, m - 1)
+        ks = np.stack([np.zeros_like(vertex), np.floor(vertex), np.ceil(vertex),
+                       np.full_like(vertex, m - 1)], axis=-1).astype(np.intp)
+        scores = self._scores(y, rows, cost_sign, pi, r0, self.axis[ks])
+        plane = m * (m * np.arange(m)[:, None, None] + np.arange(m)[None, :, None])
+        return (plane + ks).reshape(-1), scores.reshape(-1)
 
     # -- oracle protocol -------------------------------------------------------
 
@@ -189,71 +189,37 @@ class GridColumns:
         pi, r0, r1 = self._decode(js)
         return np.stack([self._row_values(row, pi, r0, r1) for row in rows])
 
-    def _scores(self, y, rows, cost_sign, pi, r0, r1, shape):
-        acc = np.zeros(shape)
-        if cost_sign != 0.0:
-            acc += cost_sign * self._cost_values(pi, r0, r1)
-        for row in rows:
-            w = y[row]
-            if w != 0.0:
-                acc -= w * self._row_values(row, pi, r0, r1)
-        return acc
-
     def price_min(self, y, rows, cost_sign):
-        if self.n <= _CACHE_MAX_COLUMNS:
-            rc = -(y[rows] @ self._matrix()[rows])
-            if cost_sign != 0.0:
-                rc += cost_sign * self._cost_vector()
-            j = int(np.argmin(rc))
-            return j, float(rc[j])
-        best_j, best = -1, np.inf
-        for offset, pi, r0, r1 in self._slabs():
-            rc = self._scores(y, rows, cost_sign, pi, r0, r1, pi.shape).reshape(-1)
-            j = int(np.argmin(rc))
-            if rc[j] < best:
-                best_j, best = offset + j, float(rc[j])
-        return best_j, best
-
-    def price_first(self, y, rows, cost_sign, tol):
-        if self.n <= _CACHE_MAX_COLUMNS:
-            rc = -(y[rows] @ self._matrix()[rows])
-            if cost_sign != 0.0:
-                rc += cost_sign * self._cost_vector()
-            hits = np.nonzero(rc < -tol)[0]
-            return int(hits[0]) if hits.size else None
-        for offset, pi, r0, r1 in self._slabs():
-            rc = self._scores(y, rows, cost_sign, pi, r0, r1, pi.shape).reshape(-1)
-            hits = np.nonzero(rc < -tol)[0]
-            if hits.size:
-                return offset + int(hits[0])
-        return None
+        js, scores = self._candidates(y, rows, cost_sign)
+        i = int(np.argmin(scores))
+        return int(js[i]), float(scores[i])
 
     def price_max_abs(self, v, rows):
-        if self.n <= _CACHE_MAX_COLUMNS:
-            vals = np.abs(v[rows] @ self._matrix()[rows])
-            j = int(np.argmax(vals))
-            return j, float(vals[j])
-        best_j, best = -1, -1.0
-        for offset, pi, r0, r1 in self._slabs():
-            vals = np.abs(self._scores(v, rows, 0.0, pi, r0, r1, pi.shape)).reshape(-1)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best_j, best = offset + j, float(vals[j])
-        return best_j, best
+        js, scores = self._candidates(v, rows, 0.0)
+        scores = np.abs(scores)
+        i = int(np.argmax(scores))
+        return int(js[i]), float(scores[i])
 
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))
         return float(pi[0]), float(r0[0]), float(r1[0])
 
 
-def _constraint_rows(joint: ObservedJoint, budget: MomentBudget):
+def _constraint_rows(joint: ObservedJoint, f: float | MomentBudget,
+                     g: float | None = None):
+    """The seven rows, with f and g bounding the two moment rows.
+
+    A MomentBudget passed as f, with g left out, supplies both bounds.
+    """
+    if g is None:
+        f, g = f.f, f.g
     return (
         ("eq", joint.p01),
         ("eq", joint.p11),
         ("eq", joint.p00),
         ("eq", joint.p10),
-        ("le", budget.f),
-        ("le", budget.g),
+        ("le", f),
+        ("le", g),
         ("eq", 1.0),
     )
 
@@ -261,7 +227,8 @@ def _constraint_rows(joint: ObservedJoint, budget: MomentBudget):
 def assemble(req: BoundsRequest, sense: str) -> lp.LinearProgram:
     """Build the discretized measure LP for one optimization sense."""
     oracle = GridColumns(req.joint, req.grid.m, objective="psi")
-    return lp.LinearProgram(sense, oracle, _constraint_rows(req.joint, req.budget))
+    return lp.LinearProgram(sense, oracle, _constraint_rows(
+        req.joint, req.budget.f, req.budget.g))
 
 
 def _certificate(oracle: GridColumns, support) -> AtomicMeasure:
@@ -277,7 +244,7 @@ def _solve_level(joint: ObservedJoint, budget: MomentBudget, m: int):
     """One grid level; returns (L, U, cert_min, cert_max) or None if the
     grid admits no feasible measure."""
     oracle = GridColumns(joint, m, objective="psi")
-    rows = _constraint_rows(joint, budget)
+    rows = _constraint_rows(joint, budget.f, budget.g)
     results = []
     for sense in ("min", "max"):
         sol = lp.solve(lp.LinearProgram(sense, oracle, rows))
@@ -401,19 +368,10 @@ def minimal_budget(joint: ObservedJoint, which: str, other_value: float,
     # are < 1 on the interior grid, so a bound of 1.0 never binds
     f_bound = 1.0 if which == "f" else other_value
     g_bound = other_value if which == "f" else 1.0
+    rows = _constraint_rows(joint, f_bound, g_bound)
     value = None
-    m = (grid or GridSpec(16)).m
-    while True:
+    for m in _ladder((grid or GridSpec(16)).m, True, max_m):
         oracle = GridColumns(joint, m, objective=which)
-        rows = (
-            ("eq", joint.p01),
-            ("eq", joint.p11),
-            ("eq", joint.p00),
-            ("eq", joint.p10),
-            ("le", f_bound),
-            ("le", g_bound),
-            ("eq", 1.0),
-        )
         sol = lp.solve(lp.LinearProgram("min", oracle, rows))
         if sol.status == lp.ITERATION_LIMIT:
             raise IterationLimitError(f"iteration limit at grid m={m}")
@@ -421,9 +379,6 @@ def minimal_budget(joint: ObservedJoint, which: str, other_value: float,
             if value is not None and abs(sol.objective - value) < refine_tol:
                 return sol.objective
             value = sol.objective
-        if 2 * m > max_m:
-            break
-        m *= 2
     if value is None:
         raise EqualityInfeasibleError(
             f"the observed joint is not representable on interior grids up "

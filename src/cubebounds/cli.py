@@ -8,7 +8,7 @@ or both (flags win).  Reports render as text (4 decimals) or as
 canonical JSON (full precision, sorted keys) with --json.
 
 Exit codes: 0 success, 1 input error, 2 infeasible budget, 3 solver
-non-convergence.
+failure (iteration limit or singular basis).
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import sim
+from . import lp, sim
 from .bounds import (
     BoundsRequest,
     EqualityInfeasibleError,
@@ -712,7 +712,7 @@ def main(argv=None) -> int:
     except EqualityInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IterationLimitError as exc:
+    except (IterationLimitError, lp.SingularBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

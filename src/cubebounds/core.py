@@ -30,6 +30,8 @@ class ContingencyTable:
 
     def __post_init__(self) -> None:
         cells = (self.n11, self.n10, self.n01, self.n00)
+        if not all(math.isfinite(c) for c in cells):
+            raise ValueError("table cells must be finite numbers")
         if any(c < 0 for c in cells):
             raise ValueError("table cells must be nonnegative")
         if sum(cells) <= 0:
@@ -58,6 +60,8 @@ class ObservedJoint:
 
     def __post_init__(self) -> None:
         cells = (self.p11, self.p10, self.p01, self.p00)
+        if not all(math.isfinite(p) for p in cells):
+            raise ValueError("joint probabilities must be finite numbers")
         if any(p < 0 or p > 1 for p in cells):
             raise ValueError("joint probabilities must lie in [0, 1]")
         if abs(sum(cells) - 1.0) > 1e-9:
@@ -87,6 +91,8 @@ class MomentBudget:
     g: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.f) and math.isfinite(self.g)):
+            raise ValueError("moment budgets must be finite numbers")
         if self.f < 0 or self.g < 0:
             raise ValueError("moment budgets must be nonnegative")
         for name in ("f", "g"):

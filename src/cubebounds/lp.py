@@ -31,7 +31,7 @@ REFACTOR_EVERY = 64
 
 
 class SingularBasisError(RuntimeError):
-    """Basis algebra failed even after a Bland's-rule restart."""
+    """Basis algebra failed even after a lexicographic restart."""
 
 
 class ColumnOracle(Protocol):
@@ -59,10 +59,6 @@ class ColumnOracle(Protocol):
         """Minimize the reduced cost cost_sign*c_j - y . A_j over all j;
         returns (argmin, min value).  cost_sign is 0 during phase 1 and
         +/-1 in phase 2 depending on the objective sense."""
-        ...
-
-    def price_first(self, y: np.ndarray, rows: np.ndarray, cost_sign: float, tol: float) -> int | None:
-        """Smallest j whose reduced cost is below -tol, or None."""
         ...
 
     def price_max_abs(self, v: np.ndarray, rows: np.ndarray) -> tuple[int, float]:
@@ -102,11 +98,6 @@ class DenseColumns:
         j = int(np.argmin(rc))
         return j, float(rc[j])
 
-    def price_first(self, y, rows, cost_sign, tol):
-        rc = self._reduced(y, rows, cost_sign)
-        hits = np.nonzero(rc < -tol)[0]
-        return int(hits[0]) if hits.size else None
-
     def price_max_abs(self, v, rows):
         rows = np.asarray(rows)
         vals = np.abs(v[rows] @ self._matrix[rows])
@@ -143,21 +134,30 @@ class LpSolution:
 
 
 class _Simplex:
-    """One revised-simplex run (restartable with Bland's rule from scratch).
+    """One revised-simplex run (restartable under the lexicographic rule).
 
     Column ids: 0..n-1 structural, then one slack per "le" row in row
     order, then artificials assigned at the phase-1 start.
+
+    Under the lexicographic rule, ratio-test ties are broken on the rows
+    of B^-1 B_ref / d, where B_ref is the basis matrix when the rule is
+    switched on and at the start of each phase (after phase 1 deletes
+    redundant rows or pivots artificials out).  Every row of
+    [x_B, B^-1 B_ref] then stays lexicographically positive and the
+    objective falls lexicographically at each pivot, so no basis repeats
+    whichever improving column enters.
     """
 
     def __init__(self, lp: LinearProgram, tol_feas: float, tol_opt: float,
-                 max_iter: int, bland: bool):
+                 max_iter: int, lex: bool):
         self.oracle = lp.oracle
         self.n = lp.oracle.n
         self.sense = 1.0 if lp.sense == "min" else -1.0
         self.tol_feas = tol_feas
         self.tol_opt = tol_opt
         self.max_iter = max_iter
-        self.bland = bland
+        self.lex = lex
+        self.ref: np.ndarray | None = None
 
         self.rels = [rel for rel, _ in lp.rows]
         self.rhs = np.array([b for _, b in lp.rows], dtype=float)
@@ -223,8 +223,11 @@ class _Simplex:
         self.binv = np.diag(signs)
         self.xb = signs * self.rhs
 
+    def basis_matrix(self) -> np.ndarray:
+        return np.column_stack([self.col(cid) for cid in self.basis])
+
     def refactorize(self) -> None:
-        B = np.column_stack([self.col(cid) for cid in self.basis])
+        B = self.basis_matrix()
         try:
             self.binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
@@ -240,8 +243,6 @@ class _Simplex:
             raise SingularBasisError("vanishing pivot element")
         theta = self.xb[leave_pos] / piv
         self.degenerate_run = self.degenerate_run + 1 if abs(theta) <= self.tol_feas else 0
-        if self.degenerate_run > 10 * len(self.active):
-            self.bland = True
         self.xb = self.xb - theta * d
         self.xb[leave_pos] = theta
         self.binv[leave_pos, :] /= piv
@@ -253,6 +254,9 @@ class _Simplex:
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             self.refactorize()
+        if not self.lex and self.degenerate_run > 10 * len(self.active):
+            self.lex = True
+            self.ref = self.basis_matrix()
 
     # -- simplex iterations ------------------------------------------------------
 
@@ -265,24 +269,13 @@ class _Simplex:
         y_full = np.zeros(self.k0)
         y_full[self.active] = y
         cost_sign = 0.0 if phase == 1 else self.sense
-
-        if not self.bland:
-            best_id, best_rc = self.oracle.price_min(y_full, self.active, cost_sign)
-            for t in range(self.nslack):
-                pos = self._slack_pos(self.n + t)
-                rc = -y[pos] if pos is not None else 0.0
-                if rc < best_rc:
-                    best_id, best_rc = self.n + t, rc
-            return best_id if best_rc < -self.tol_opt else None
-
-        j = self.oracle.price_first(y_full, self.active, cost_sign, self.tol_opt)
-        if j is not None:
-            return j
+        best_id, best_rc = self.oracle.price_min(y_full, self.active, cost_sign)
         for t in range(self.nslack):
             pos = self._slack_pos(self.n + t)
-            if pos is not None and -y[pos] < -self.tol_opt:
-                return self.n + t
-        return None
+            rc = -y[pos] if pos is not None else 0.0
+            if rc < best_rc:
+                best_id, best_rc = self.n + t, rc
+        return best_id if best_rc < -self.tol_opt else None
 
     def ratio_test(self, d: np.ndarray) -> int | None:
         """Leaving position, or None when the direction is unbounded."""
@@ -292,12 +285,19 @@ class _Simplex:
         ratios = self.xb[cand] / d[cand]
         best = np.min(ratios)
         ties = cand[ratios <= best + self.tol_feas]
-        if self.bland:
-            # smallest basic column id among the tied rows
-            return int(min(ties, key=lambda pos: self.basis[pos]))
-        return int(max(ties, key=lambda pos: d[pos]))
+        if not self.lex:
+            return int(max(ties, key=lambda pos: d[pos]))
+        lex = (self.binv[ties] @ self.ref) / d[ties, None]
+        for column in lex.T:
+            keep = column <= column.min() + self.tol_feas
+            ties, lex = ties[keep], lex[keep]
+            if ties.size == 1:
+                break
+        return int(ties[0])
 
     def iterate(self, phase: int) -> str:
+        if self.lex:
+            self.ref = self.basis_matrix()
         while True:
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
@@ -372,6 +372,9 @@ class _Simplex:
         self.refactorize()  # tighten the final solution
         if np.any(self.xb < -self.tol_feas * 10):
             raise SingularBasisError("negative basic variable at optimum")
+        # round-off weights below zero go, so the objective and the
+        # support are computed from the same weights
+        self.xb = np.maximum(self.xb, 0.0)
         cb = np.array([self.cost_of(cid, 2) for cid in self.basis])
         internal_obj = float(cb @ self.xb)
         y = cb @ self.binv
@@ -393,11 +396,12 @@ def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_opt: float = 1e-9,
     """Solve an LP by two-phase revised simplex.
 
     Dantzig pricing over the full column oracle, with a permanent switch
-    to Bland's rule after a long run of degenerate pivots.  A numerically
-    singular basis triggers one restart under Bland's rule from scratch;
-    a second failure raises SingularBasisError.
+    to the lexicographic ratio test after a long run of degenerate pivots.
+    A numerically singular basis triggers one restart under the
+    lexicographic rule from scratch; a second failure raises
+    SingularBasisError.
     """
     try:
-        return _Simplex(lp, tol_feas, tol_opt, max_iter, bland=False).run()
+        return _Simplex(lp, tol_feas, tol_opt, max_iter, lex=False).run()
     except SingularBasisError:
-        return _Simplex(lp, tol_feas, tol_opt, max_iter, bland=True).run()
+        return _Simplex(lp, tol_feas, tol_opt, max_iter, lex=True).run()

@@ -85,20 +85,28 @@ def test_oracle_cost_is_prognosis_contrast():
 
 def test_pricing_matches_dense_columns():
     rng = np.random.default_rng(5)
-    oracle = GridColumns(DRUG, 4)
-    dense = lp.DenseColumns([oracle.cost(j) for j in range(oracle.n)],
-                            oracle.columns(np.arange(oracle.n), np.arange(7)))
-    for _ in range(20):
-        y = rng.normal(size=7)
-        rows = np.sort(rng.choice(7, size=int(rng.integers(2, 8)),
-                                  replace=False))
-        for sign in (0.0, 1.0, -1.0):
-            jg, vg = oracle.price_min(y, rows, sign)
-            jd, vd = dense.price_min(y, rows, sign)
-            assert vg == pytest.approx(vd, abs=1e-12)
-        jg, vg = oracle.price_max_abs(y, rows)
-        jd, vd = dense.price_max_abs(y, rows)
-        assert vg == pytest.approx(vd, abs=1e-12)
+    for objective in ("psi", "f", "g"):
+        for m in (2, 4, 7, 33):
+            oracle = GridColumns(DRUG, m, objective=objective)
+            costs = np.array([oracle.cost(j) for j in range(oracle.n)])
+            matrix = oracle.columns(np.arange(oracle.n), np.arange(7))
+            dense = lp.DenseColumns(costs, matrix)
+            for trial in range(20):
+                y = rng.normal(size=7)
+                # y5 > 0 makes the g row concave in r1; cover both signs
+                y[5] = abs(y[5]) if trial % 2 else -abs(y[5])
+                rows = np.sort(rng.choice(7, size=int(rng.integers(2, 8)),
+                                          replace=False))
+                for sign in (0.0, 1.0, -1.0):
+                    jg, vg = oracle.price_min(y, rows, sign)
+                    jd, vd = dense.price_min(y, rows, sign)
+                    assert vg == pytest.approx(vd, abs=1e-12)
+                    rc = sign * costs[jg] - y[rows] @ matrix[rows, jg]
+                    assert rc == pytest.approx(vg, abs=1e-12)
+                jg, vg = oracle.price_max_abs(y, rows)
+                jd, vd = dense.price_max_abs(y, rows)
+                assert vg == pytest.approx(vd, abs=1e-12)
+                assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=1e-12)
 
 
 # -- the three study tables ----------------------------------------------------

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cubebounds import cli
+from cubebounds import cli, lp
 from cubebounds.bounds import IterationLimitError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -103,6 +103,32 @@ def test_iteration_limit_maps_to_exit_3(capsys, monkeypatch):
                          "--g", "0.1")
     assert code == 3
     assert "iteration limit" in err
+
+
+def test_singular_basis_maps_to_exit_3(capsys, monkeypatch):
+    def singular(program, **kw):
+        raise lp.SingularBasisError("singular basis at refactorization")
+    monkeypatch.setattr(lp, "solve", singular)
+    code, out, err = run(capsys, "bounds", "--table",
+                         str(FIXTURES / "golf.tbl"), "--f", "0.1",
+                         "--g", "0.1")
+    assert code == 3
+    assert "error: singular basis" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_inputs_exit_1(capsys, tmp_path):
+    bad = tmp_path / "nan.tbl"
+    bad.write_text("978 nan 114 3649\n")
+    code, out, err = run(capsys, "bounds", "--table", str(bad),
+                         "--f", "0.1", "--g", "0.1")
+    assert code == 1
+    assert "table cells must be finite" in err
+    code, out, err = run(capsys, "bounds", "--table",
+                         str(FIXTURES / "drug.tbl"), "--f", "nan",
+                         "--g", "0.1")
+    assert code == 1
+    assert "moment budgets must be finite" in err
 
 
 def test_bad_table_file_exits_1_with_line_number(capsys, tmp_path):

@@ -32,6 +32,12 @@ def test_table_rejects_zero_total():
         ContingencyTable(n11=0, n10=0, n01=0, n00=0)
 
 
+def test_table_rejects_non_finite_cells():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ContingencyTable(n11=bad, n10=2, n01=3, n00=4)
+
+
 def test_frequency_detection():
     assert ContingencyTable(0.05, 0.45, 0.005, 0.495).is_frequencies
     assert not ContingencyTable(978, 1864, 114, 3649).is_frequencies
@@ -58,6 +64,12 @@ def test_joint_validation_and_marginals():
         ObservedJoint(p11=-0.1, p10=0.6, p01=0.2, p00=0.3)
 
 
+def test_joint_rejects_non_finite_cells():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ObservedJoint(p11=0.25, p10=0.25, p01=bad, p00=0.5)
+
+
 def test_zero_cell_probe():
     assert ObservedJoint(p11=0.0, p10=0.5, p01=0.2, p00=0.3).has_zero_cell()
     assert not GOLF.has_zero_cell()
@@ -71,6 +83,14 @@ def test_budget_validation_and_clamp():
     assert clamped.f == 0.25
     assert clamped.g == 0.1
     assert MomentBudget(f=0.25, g=0.25).f == 0.25
+
+
+def test_budget_rejects_non_finite_values():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MomentBudget(f=bad, g=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            MomentBudget(f=0.1, g=bad)
 
 
 def test_golf_risk_summaries():

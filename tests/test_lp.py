@@ -12,6 +12,13 @@ def _solve(sense, costs, matrix, rows, **kw):
     return lp.solve(lp.LinearProgram(sense, oracle, tuple(rows)), **kw)
 
 
+def _solve_lex(sense, costs, matrix, rows):
+    # the lexicographic rule on from the first pivot; lp.solve only
+    # switches to it after a long degenerate run or a singular basis
+    program = lp.LinearProgram(sense, lp.DenseColumns(costs, matrix), tuple(rows))
+    return lp._Simplex(program, 1e-9, 1e-9, 20000, lex=True).run()
+
+
 def test_trivial_simplex_vertex():
     sol = _solve("max", [1.0, 1.0], [[1.0, 1.0]], [("eq", 1.0)])
     assert sol.status == lp.OPTIMAL
@@ -145,11 +152,12 @@ def test_matches_enumeration_on_seeded_instances():
         costs, matrix, rows = random_lp(rng)
         status, lo, hi = bfs_optima(costs, matrix, rows)
         assert status == "optimal"
-        smin = _solve("min", costs, matrix, rows)
-        smax = _solve("max", costs, matrix, rows)
-        assert smin.status == smax.status == lp.OPTIMAL
-        assert smin.objective == pytest.approx(lo, abs=1e-9)
-        assert smax.objective == pytest.approx(hi, abs=1e-9)
+        for solver in (_solve, _solve_lex):
+            smin = solver("min", costs, matrix, rows)
+            smax = solver("max", costs, matrix, rows)
+            assert smin.status == smax.status == lp.OPTIMAL
+            assert smin.objective == pytest.approx(lo, abs=1e-9)
+            assert smax.objective == pytest.approx(hi, abs=1e-9)
 
 
 def test_degenerate_vertices_do_not_cycle():
@@ -160,9 +168,10 @@ def test_degenerate_vertices_do_not_cycle():
               [1.0, -1.0, 0.0, 0.0, 0.0],
               [0.0, 0.0, 1.0, -1.0, 0.0]]
     rows = [("eq", 1.0), ("eq", 0.0), ("eq", 0.0)]
-    sol = _solve("min", costs, matrix, rows)
-    assert sol.status == lp.OPTIMAL
-    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    for solver in (_solve, _solve_lex):
+        sol = solver("min", costs, matrix, rows)
+        assert sol.status == lp.OPTIMAL
+        assert sol.objective == pytest.approx(0.0, abs=1e-9)
 
 
 def test_solution_reports_iterations():
