@@ -139,44 +139,55 @@ class GridColumns:
             return self._row_values(4, pi, r0, r1)
         return self._row_values(5, pi, r0, r1)
 
-    def _scores(self, y, rows, cost_sign, pi, r0, r1):
-        """cost_sign * c - y . A at the points (pi, r0, r1), broadcast together."""
-        acc = np.zeros(np.broadcast_shapes(np.shape(pi), np.shape(r0), np.shape(r1)))
-        if cost_sign != 0.0:
-            acc += cost_sign * self._cost_values(pi, r0, r1)
-        for row in rows:
-            w = y[row]
-            if w != 0.0:
-                acc -= w * self._row_values(row, pi, r0, r1)
-        return acc
-
     def _candidates(self, y, rows, cost_sign):
-        """Flat column indices and scores of the pricing candidates.
+        """Scores of the pricing candidates and the r1 index of the middle one.
 
-        For fixed (pi, r0) every row and every objective is a quadratic in
-        r1, and so is the score cost_sign * c - y . A.  A quadratic is
-        monotone on either side of its vertex, so over the r1 axis both its
-        minimum and its largest absolute value lie at an axis end or at a
-        grid neighbour of the vertex: four candidates per (pi, r0), scored
-        with the same formulas as `columns` and `cost`.
+        For fixed (pi, r0) the score cost_sign * c - y . A is
+        P + L * r1 + c5 * (pi * r1 + u)**2 with u = (1 - pi) * r0 - py1:
+        only the g row (or the g objective) is quadratic in r1, and
+        c5 = cost_sign * [objective g] - y5 is one scalar per call.  As pi
+        > 0 on the grid, the curvature c5 * pi**2 has the sign of c5
+        everywhere, so over the r1 axis the minimum lies at the grid point
+        nearest the vertex (c5 > 0) or at an axis end (c5 <= 0), and the
+        largest |score| at the other of the two.  Three candidates per
+        (pi, r0), r1 indices 0, the vertex's and m - 1, serve both pricing
+        methods.  Returns their scores stacked as (3, m, m) and the (m, m)
+        vertex indices.
+
+        The g term stays the square of the g row's own residual, as in
+        `columns`: written out as a quadratic in r1, terms of size |c5|
+        cancel, and near the zero set of the g row a large phase-1 dual
+        would leave the score with no correct digit.
         """
+        m, joint = self.m, self.joint
+        w = np.zeros(7)
+        w[rows] = y[rows]
+        psi, f, g = (cost_sign * (self.objective == name) for name in ("psi", "f", "g"))
+        pi = self.axis[:, None]
+        r0 = self.axis[None, :]
+        mix0 = (1 - pi) * r0  # the r0 term of the atom's outcome mean
+        # the r1-free part of the score is affine in r0
+        P = (-w[2] * (1 - pi) - w[3] * pi + (f - w[4]) * (pi - joint.px1) ** 2 - w[6]
+             + ((w[2] - w[0]) * (1 - pi) - psi) * r0)
+        L = (w[3] - w[1]) * pi + psi
+        c5 = g - w[5]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = -L / (2 * c5 * pi ** 2) * m - 0.5
+        vertex = shift - (mix0 - joint.py1) * (m / pi)  # fractional r1 index
+        # fmax/fmin drop a NaN vertex (c5 = 0 and L = 0) to index 0, and an
+        # infinite one (c5 = 0 or too small) to an axis end
+        k = np.rint(np.fmin(np.fmax(vertex, 0), m - 1))
+        # (k + 0.5) / m is axis[k] to the last bit; the residual is summed
+        # in the order of `_row_values`, so the g term matches `columns`
+        scores = [P + L * r1 + c5 * (pi * r1 + mix0 - joint.py1) ** 2
+                  for r1 in (self.axis[0], (k + 0.5) / m, self.axis[m - 1])]
+        return np.stack(scores), k
+
+    def _column(self, i: int, k: np.ndarray) -> int:
+        """Flat column index of entry i of the (3, m, m) candidate stack."""
         m = self.m
-        pi = self.axis[:, None, None]
-        r0 = self.axis[None, :, None]
-        # the quadratic's coefficients from its values at r1 = 0, 1/2, 1
-        q0, qh, q1 = np.moveaxis(
-            self._scores(y, rows, cost_sign, pi, r0, np.array([0.0, 0.5, 1.0])), -1, 0)
-        curv = 2.0 * (q0 - 2.0 * qh + q1)
-        slope = q1 - q0 - curv
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = -slope / (2.0 * curv) * m - 0.5  # fractional axis index
-        # a linear score (curv = 0) has no vertex; the axis ends cover it
-        vertex = np.clip(np.nan_to_num(vertex), 0, m - 1)
-        ks = np.stack([np.zeros_like(vertex), np.floor(vertex), np.ceil(vertex),
-                       np.full_like(vertex, m - 1)], axis=-1).astype(np.intp)
-        scores = self._scores(y, rows, cost_sign, pi, r0, self.axis[ks])
-        plane = m * (m * np.arange(m)[:, None, None] + np.arange(m)[None, :, None])
-        return (plane + ks).reshape(-1), scores.reshape(-1)
+        c, p, r = np.unravel_index(i, (3, m, m))
+        return int(m * (m * p + r) + (0, k[p, r], m - 1)[c])
 
     # -- oracle protocol -------------------------------------------------------
 
@@ -190,15 +201,15 @@ class GridColumns:
         return np.stack([self._row_values(row, pi, r0, r1) for row in rows])
 
     def price_min(self, y, rows, cost_sign):
-        js, scores = self._candidates(y, rows, cost_sign)
+        scores, k = self._candidates(y, rows, cost_sign)
         i = int(np.argmin(scores))
-        return int(js[i]), float(scores[i])
+        return self._column(i, k), float(scores.flat[i])
 
     def price_max_abs(self, v, rows):
-        js, scores = self._candidates(v, rows, 0.0)
+        scores, k = self._candidates(v, rows, 0.0)
         scores = np.abs(scores)
         i = int(np.argmax(scores))
-        return int(js[i]), float(scores[i])
+        return self._column(i, k), float(scores.flat[i])
 
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))
@@ -253,7 +264,10 @@ def _solve_level(joint: ObservedJoint, budget: MomentBudget, m: int):
         if sol.status == lp.ITERATION_LIMIT:
             raise IterationLimitError(f"simplex iteration limit at grid m={m}")
         if sol.status != lp.OPTIMAL:
-            raise RuntimeError(f"unexpected LP status {sol.status} at grid m={m}")
+            # the weights are a probability vector and the objective is
+            # bounded, so any other status is a numerical failure
+            raise lp.SingularBasisError(
+                f"unexpected LP status {sol.status} at grid m={m}")
         results.append(sol)
     smin, smax = results
     return (smin.objective, smax.objective,

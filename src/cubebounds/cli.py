@@ -120,9 +120,22 @@ def _check_keys(mapping: dict, allowed: set, origin: str) -> None:
 
 
 def _number(value, origin: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{origin}: expected a number, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise CliError(f"{origin}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for the float flags: NaN and +-inf are refused; an
+    open side of a K range is written by leaving its flag out."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _read_profiles(path: str):
@@ -258,7 +271,7 @@ def _resolve(args) -> _Analysis:
     elif "k" in cfg:
         spec = cfg["k"]
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            k_mode, k_point, k_source = "point", float(spec), origin
+            k_mode, k_point, k_source = "point", _number(spec, f"{origin}: k"), origin
         elif isinstance(spec, dict) and "profiles" in spec:
             _check_keys(spec, {"profiles"}, f"{origin}: k")
             profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
@@ -292,8 +305,8 @@ def _resolve(args) -> _Analysis:
     if m is None:
         m = DEFAULT_GRID_M
     refine = bool(args.refine or gcfg.get("refine", False))
-    refine_tol = float(gcfg.get("refine_tol", 1e-3))
-    max_m = int(gcfg.get("max_m", 256))
+    refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
+    max_m = int(_number(gcfg.get("max_m", 256), f"{origin}: grid.max_m"))
     try:
         grid = GridSpec(m)
         if refine_tol <= 0 or max_m < m:
@@ -636,8 +649,8 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--f", type=float, help="propensity moment budget")
     p.add_argument("--g", type=float, help="prognosis moment budget")
-    p.add_argument("--dx", type=float, help="propensity discrimination in [0,1]")
-    p.add_argument("--dy", type=float, help="prognosis discrimination in [0,1]")
+    p.add_argument("--dx", type=_finite_float, help="propensity discrimination in [0,1]")
+    p.add_argument("--dy", type=_finite_float, help="prognosis discrimination in [0,1]")
     p.add_argument("--grid-m", type=int, help=f"grid points per axis "
                    f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
     p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -652,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="identified interval for psi, "
                                       "optionally shifted to tau")
     _add_analysis_flags(p)
-    p.add_argument("--k", type=float, help="known bias K")
-    p.add_argument("--k-min", type=float, help="lower end of a K range")
-    p.add_argument("--k-max", type=float, help="upper end of a K range")
+    p.add_argument("--k", type=_finite_float, help="known bias K")
+    p.add_argument("--k-min", type=_finite_float, help="lower end of a K range")
+    p.add_argument("--k-max", type=_finite_float, help="upper end of a K range")
     p.add_argument("--refine", action="store_true",
                    help="double the grid until the endpoints stabilize")
     p.set_defaults(func=cmd_bounds)

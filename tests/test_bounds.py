@@ -107,6 +107,38 @@ def test_pricing_matches_dense_columns():
                 jd, vd = dense.price_max_abs(y, rows)
                 assert vg == pytest.approx(vd, abs=1e-12)
                 assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=1e-12)
+            # phase 1 of an infeasible tiny-g request ends with g-row duals
+            # of this size; the score near the g row's zero set must keep
+            # its digits relative to the terms it sums
+            for y5 in (1e6, -1e6, 1e9, -1e9):
+                y = rng.normal(size=7)
+                y[5] = y5
+                rows = np.arange(7)
+                for sign in (0.0, 1.0, -1.0):
+                    jg, vg = oracle.price_min(y, rows, sign)
+                    jd, vd = dense.price_min(y, rows, sign)
+                    tol = 1e-12 * max(1.0, np.abs(y[rows] * matrix[rows, jg]).sum())
+                    assert vg == pytest.approx(vd, abs=tol)
+                    rc = sign * costs[jg] - y[rows] @ matrix[rows, jg]
+                    assert rc == pytest.approx(vg, abs=tol)
+                jg, vg = oracle.price_max_abs(y, rows)
+                jd, vd = dense.price_max_abs(y, rows)
+                tol = 1e-12 * max(1.0, np.abs(y[rows] * matrix[rows, jg]).sum())
+                assert vg == pytest.approx(vd, abs=tol)
+            # no curvature (y5 = 0, and no slope either when y1 = y3) and a
+            # curvature too small to give a finite vertex
+            for y5 in (0.0, 1e-320, -1e-320):
+                y = rng.normal(size=7)
+                y[5] = y5
+                y[3] = y[1]
+                for sign in (0.0, 1.0, -1.0):
+                    jg, vg = oracle.price_min(y, np.arange(7), sign)
+                    jd, vd = dense.price_min(y, np.arange(7), sign)
+                    assert vg == pytest.approx(vd, abs=1e-12)
+                    assert 0 <= jg < oracle.n
+                jg, vg = oracle.price_max_abs(y, np.arange(7))
+                jd, vd = dense.price_max_abs(y, np.arange(7))
+                assert vg == pytest.approx(vd, abs=1e-12)
 
 
 # -- the three study tables ----------------------------------------------------
@@ -252,6 +284,24 @@ def test_minimal_budget_f_is_small_with_loose_g():
 def test_minimal_budget_golf_g_under_study_f():
     value = minimal_budget(GOLF, "g", 0.125, grid=GridSpec(25), max_m=100)
     assert 0.0 <= value <= 0.03
+
+
+def test_minimal_budget_tiny_g_f(monkeypatch):
+    # m=64 is infeasible with phase-1 duals near 1e9 on the g row; pricing
+    # that loses digits there wanders to the iteration limit instead
+    iterations = []
+    solve = lp.solve
+
+    def recording(program, **kw):
+        sol = solve(program, **kw)
+        iterations.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording)
+    value = minimal_budget(DRUG, "f", 1e-9, grid=GridSpec(64), max_m=128)
+    assert value == pytest.approx(6.01386904838e-4, abs=1e-9)
+    assert len(iterations) == 2
+    assert max(iterations) < 200
 
 
 def test_minimal_budget_g_at_zero_f_is_zero():

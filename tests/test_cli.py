@@ -117,6 +117,53 @@ def test_singular_basis_maps_to_exit_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_unexpected_lp_status_maps_to_exit_3(capsys, monkeypatch):
+    def unbounded(program, **kw):
+        return lp.LpSolution(lp.UNBOUNDED, float("-inf"), (), (0.0,) * 7, 3)
+    monkeypatch.setattr(lp, "solve", unbounded)
+    code, out, err = run(capsys, "bounds", "--table",
+                         str(FIXTURES / "golf.tbl"), "--f", "0.1",
+                         "--g", "0.1")
+    assert code == 3
+    assert "error: unexpected LP status unbounded" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--k", "--k-min", "--k-max"])
+def test_non_finite_k_flag_exits_1(capsys, flag):
+    for value in ("nan", "inf", "-inf"):
+        code, out, err = run(capsys, "bounds", "--table",
+                             str(FIXTURES / "drug.tbl"), "--f", "0.03",
+                             "--g", "0.04", f"{flag}={value}")
+        assert code == 1
+        assert f"error: argument {flag}: expected a finite number" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"k": float("nan")}, "k"),
+    ({"k": {"min": float("nan")}}, "k.min"),
+    ({"grid": {"refine": True, "refine_tol": float("nan")}}, "grid.refine_tol"),
+], ids=["k", "k.min", "grid.refine_tol"])
+def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name):
+    config = tmp_path / "config.json"
+    # json.dumps writes NaN as the bare token NaN, which json.loads reads back
+    config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
+                                  "budget": {"f": 0.03, "g": 0.04}, **extra}))
+    code, out, err = run(capsys, "bounds", "--config", str(config))
+    assert code == 1
+    assert f"error: {config}: {name}: expected a finite number" in err
+    assert out == ""
+
+
+def test_open_k_side_is_an_absent_flag(capsys):
+    data = run_json(capsys, "bounds", "--table", str(FIXTURES / "golf.tbl"),
+                    "--f", "0.125", "--g", "0.03", "--grid-m", "50",
+                    "--k-min", "0.0", "--json")
+    assert data["tau"]["k_max"] is None
+    assert data["tau"]["lower"] is None
+
+
 def test_non_finite_inputs_exit_1(capsys, tmp_path):
     bad = tmp_path / "nan.tbl"
     bad.write_text("978 nan 114 3649\n")
