@@ -104,6 +104,9 @@ class GridColumns:
         self.joint = joint
         self.objective = objective
         self.axis = GridSpec(m).axis
+        self._pi = self.axis[:, None]  # the y-independent planes of the pricing score
+        self._mix0 = (1 - self._pi) * self.axis[None, :]  # the r0 term of the outcome mean
+        self._vbase = (self._mix0 - joint.py1) * (m / self._pi)
 
     @property
     def n(self) -> int:
@@ -139,55 +142,46 @@ class GridColumns:
             return self._row_values(4, pi, r0, r1)
         return self._row_values(5, pi, r0, r1)
 
-    def _candidates(self, y, rows, cost_sign):
-        """Scores of the pricing candidates and the r1 index of the middle one.
-
-        For fixed (pi, r0) the score cost_sign * c - y . A is
-        P + L * r1 + c5 * (pi * r1 + u)**2 with u = (1 - pi) * r0 - py1:
-        only the g row (or the g objective) is quadratic in r1, and
-        c5 = cost_sign * [objective g] - y5 is one scalar per call.  As pi
-        > 0 on the grid, the curvature c5 * pi**2 has the sign of c5
-        everywhere, so over the r1 axis the minimum lies at the grid point
-        nearest the vertex (c5 > 0) or at an axis end (c5 <= 0), and the
-        largest |score| at the other of the two.  Three candidates per
-        (pi, r0), r1 indices 0, the vertex's and m - 1, serve both pricing
-        methods.  Returns their scores stacked as (3, m, m) and the (m, m)
-        vertex indices.
-
-        The g term stays the square of the g row's own residual, as in
-        `columns`: written out as a quadratic in r1, terms of size |c5|
-        cancel, and near the zero set of the g row a large phase-1 dual
-        would leave the score with no correct digit.
-        """
-        m, joint = self.m, self.joint
+    def _coefficients(self, y, rows, cost_sign):
+        """(P, L, c5) with score cost_sign * c - y . A = P + L * r1 + c5 * (pi
+        * r1 + (1 - pi) * r0 - py1)**2 at fixed (pi, r0): P is the (m, m)
+        (pi, r0) plane, L an (m, 1) column and c5 = cost_sign * [objective g]
+        - y5 a scalar, so the r1 curvature c5 * pi**2 has the sign of c5."""
         w = np.zeros(7)
         w[rows] = y[rows]
         psi, f, g = (cost_sign * (self.objective == name) for name in ("psi", "f", "g"))
-        pi = self.axis[:, None]
-        r0 = self.axis[None, :]
-        mix0 = (1 - pi) * r0  # the r0 term of the atom's outcome mean
+        pi, r0 = self._pi, self.axis[None, :]
         # the r1-free part of the score is affine in r0
-        P = (-w[2] * (1 - pi) - w[3] * pi + (f - w[4]) * (pi - joint.px1) ** 2 - w[6]
+        P = (-w[2] * (1 - pi) - w[3] * pi + (f - w[4]) * (pi - self.joint.px1) ** 2 - w[6]
              + ((w[2] - w[0]) * (1 - pi) - psi) * r0)
-        L = (w[3] - w[1]) * pi + psi
-        c5 = g - w[5]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            shift = -L / (2 * c5 * pi ** 2) * m - 0.5
-        vertex = shift - (mix0 - joint.py1) * (m / pi)  # fractional r1 index
-        # fmax/fmin drop a NaN vertex (c5 = 0 and L = 0) to index 0, and an
-        # infinite one (c5 = 0 or too small) to an axis end
-        k = np.rint(np.fmin(np.fmax(vertex, 0), m - 1))
-        # (k + 0.5) / m is axis[k] to the last bit; the residual is summed
-        # in the order of `_row_values`, so the g term matches `columns`
-        scores = [P + L * r1 + c5 * (pi * r1 + mix0 - joint.py1) ** 2
-                  for r1 in (self.axis[0], (k + 0.5) / m, self.axis[m - 1])]
-        return np.stack(scores), k
+        return P, (w[3] - w[1]) * pi + psi, g - w[5]
 
-    def _column(self, i: int, k: np.ndarray) -> int:
-        """Flat column index of entry i of the (3, m, m) candidate stack."""
-        m = self.m
-        c, p, r = np.unravel_index(i, (3, m, m))
-        return int(m * (m * p + r) + (0, k[p, r], m - 1)[c])
+    def _vertex(self, L, c5):
+        """(m, m) r1 index nearest the vertex; fmax/fmin drop a NaN vertex
+        (c5 = L = 0) to index 0 and an infinite one (c5 = 0 or tiny) to an axis end."""
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            shift = -L / (2 * c5 * self._pi ** 2) * self.m - 0.5
+        return np.rint(np.fmin(np.fmax(shift - self._vbase, 0), self.m - 1))
+
+    def _score(self, P, L, c5, r1):
+        """The score at r1, a scalar or an (m, m) plane, on every (pi, r0).
+
+        The g term is the g row's residual squared, summed in the order of
+        `_row_values` to match `columns` to the last bit: expanded in r1,
+        terms of size |c5| cancel, and a large phase-1 dual near the g
+        row's zero set would leave no correct digit."""
+        return P + L * r1 + c5 * (self._pi * r1 + self._mix0 - self.joint.py1) ** 2
+
+    def _least(self, planes):
+        """Column and value of the least score over (r1 index, scores)
+        planes, the index a scalar or an (m, m) plane; the earlier plane
+        wins ties.  Flat index i is m * p + r, so the column is m * i + k."""
+        best = None
+        for k, scores in planes:
+            i = int(np.argmin(scores))
+            if best is None or scores.flat[i] < best[1]:
+                best = self.m * i + int(k.flat[i] if np.ndim(k) else k), float(scores.flat[i])
+        return best
 
     # -- oracle protocol -------------------------------------------------------
 
@@ -201,15 +195,21 @@ class GridColumns:
         return np.stack([self._row_values(row, pi, r0, r1) for row in rows])
 
     def price_min(self, y, rows, cost_sign):
-        scores, k = self._candidates(y, rows, cost_sign)
-        i = int(np.argmin(scores))
-        return self._column(i, k), float(scores.flat[i])
+        P, L, c5 = self._coefficients(y, rows, cost_sign)
+        if c5 > 0:  # convex in r1: the least score is nearest the vertex
+            k = self._vertex(L, c5)  # (k + 0.5) / m is axis[k] to the last bit
+            return self._least([(k, self._score(P, L, c5, (k + 0.5) / self.m))])
+        # concave or linear in r1: the least score is at an axis end
+        return self._least([(k, self._score(P, L, c5, self.axis[k])) for k in (0, self.m - 1)])
 
     def price_max_abs(self, v, rows):
-        scores, k = self._candidates(v, rows, 0.0)
-        scores = np.abs(scores)
-        i = int(np.argmax(scores))
-        return self._column(i, k), float(scores.flat[i])
+        # the largest |score| is at an axis end or nearest the vertex
+        P, L, c5 = self._coefficients(v, rows, 0.0)
+        k, m = self._vertex(L, c5), self.m
+        scores = np.abs(np.stack([self._score(P, L, c5, r1) for r1 in
+                                  (self.axis[0], (k + 0.5) / m, self.axis[m - 1])]))
+        c, i = divmod(int(np.argmax(scores)), m * m)
+        return m * i + int((0, k.flat[i], m - 1)[c]), float(scores[c].flat[i])
 
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))

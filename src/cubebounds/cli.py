@@ -158,7 +158,11 @@ def _read_profiles(path: str):
                 profiles.append(IndividualProfile(
                     **{f: float(row[f]) for f in fields}))
                 if weighted:
-                    weights.append(float(row["weight"]))
+                    weight = float(row["weight"])
+                    if not (math.isfinite(weight) and weight >= 0):
+                        raise ValueError("weight must be a finite nonnegative "
+                                         f"number, got {row['weight']!r}")
+                    weights.append(weight)
             except (TypeError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: {exc}")
     if not profiles:

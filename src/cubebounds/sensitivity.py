@@ -92,7 +92,9 @@ def decompose(profile: IndividualProfile) -> BiasDecomposition:
 
 def population_k(profiles: Iterable[IndividualProfile],
                  weights: Sequence[float] | None = None) -> float:
-    """Population bias K as the (weighted) mean of individual biases."""
+    """Population bias K as the (weighted) mean of individual biases.
+
+    Weights must be finite and nonnegative, with a positive total."""
     ks = [k_individual(p) for p in profiles]
     if not ks:
         raise ValueError("population_k needs at least one profile")
@@ -100,6 +102,8 @@ def population_k(profiles: Iterable[IndividualProfile],
         return sum(ks) / len(ks)
     if len(weights) != len(ks):
         raise ValueError("weights must match the number of profiles")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ValueError("weights must be finite and nonnegative")
     total = sum(weights)
     if total <= 0:
         raise ValueError("weights must have positive total")

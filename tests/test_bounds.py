@@ -1,6 +1,8 @@
 """Grid assembly, the measure LP, refinement, and diagnostics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubebounds import lp
 from cubebounds.bounds import (
@@ -139,6 +141,55 @@ def test_pricing_matches_dense_columns():
                 jg, vg = oracle.price_max_abs(y, np.arange(7))
                 jd, vd = dense.price_max_abs(y, np.arange(7))
                 assert vg == pytest.approx(vd, abs=1e-12)
+            if objective != "g":
+                continue
+            # the sign split of price_min at its edge: c5 = cost_sign - y5
+            # exactly 0 or one step either side of it (1 - 1e-300 rounds to
+            # 1), and c5 = -y5 = +-1e-300 without a cost
+            for sign in (1.0, -1.0, 0.0):
+                edge = (sign, np.nextafter(sign, -2), np.nextafter(sign, 2)) if sign else (
+                    0.0, -1e-300, 1e-300)
+                for y5 in edge:
+                    y = rng.normal(size=7)
+                    y[5] = y5
+                    rows = np.arange(7)
+                    jg, vg = oracle.price_min(y, rows, sign)
+                    jd, vd = dense.price_min(y, rows, sign)
+                    assert vg == pytest.approx(vd, abs=1e-12)
+                    rc = sign * costs[jg] - y[rows] @ matrix[rows, jg]
+                    assert rc == pytest.approx(vg, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=200)
+@given(cells=st.lists(st.integers(1, 10**5), min_size=4, max_size=4),
+       m=st.integers(2, 9),
+       objective=st.sampled_from(["psi", "f", "g"]),
+       rows=st.sets(st.integers(0, 6), min_size=1).map(sorted),
+       sign=st.sampled_from([0.0, 1.0, -1.0]),
+       y=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
+       y5=st.sampled_from([0.0, 1e-320, -1e-320, 1.0, -1.0, 1e9, -1e9]))
+def test_pricing_matches_dense_columns_property(cells, m, objective, rows,
+                                                sign, y, y5):
+    joint = normalize(ContingencyTable(*cells))
+    oracle = GridColumns(joint, m, objective=objective)
+    costs = np.array([oracle.cost(j) for j in range(oracle.n)])
+    matrix = oracle.columns(np.arange(oracle.n), np.arange(7))
+    dense = lp.DenseColumns(costs, matrix)
+    y = np.array(y)
+    y[5] = y5
+    rows = np.array(rows)
+
+    def tol(j):
+        return 1e-12 * max(1.0, np.abs(y[rows] * matrix[rows, j]).sum())
+
+    jg, vg = oracle.price_min(y, rows, sign)
+    jd, vd = dense.price_min(y, rows, sign)
+    assert vg == pytest.approx(vd, abs=tol(jg))
+    assert sign * costs[jg] - y[rows] @ matrix[rows, jg] == pytest.approx(vg, abs=tol(jg))
+    jg, vg = oracle.price_max_abs(y, rows)
+    jd, vd = dense.price_max_abs(y, rows)
+    assert vg == pytest.approx(vd, abs=tol(jg))
+    assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=tol(jg))
 
 
 # -- the three study tables ----------------------------------------------------

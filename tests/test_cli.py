@@ -372,6 +372,37 @@ def test_decompose_weight_column(capsys, tmp_path):
     assert data["population_K"] == pytest.approx(0.75 * 0.05, abs=1e-12)
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
+def test_decompose_refuses_bad_weight(capsys, tmp_path, weight):
+    weighted = tmp_path / "w.csv"
+    weighted.write_text(
+        "pi,e11,e10,e01,e00,r_given_1,r_given_0,weight\n"
+        "0.5,0.10,0.02,0.03,0.01,0.10,0.01,3\n"
+        f"0.5,0.1,0.1,0.1,0.1,0.1,0.1,{weight}\n")
+    for json_flag in ((), ("--json",)):
+        code, out, err = run(capsys, "decompose", str(weighted), *json_flag)
+        assert code == 1
+        assert out == ""
+        assert f"{weighted}:3: weight must be a finite nonnegative number" in err
+
+
+def test_config_k_profiles_refuses_bad_weight(capsys, tmp_path):
+    (tmp_path / "p.csv").write_text(
+        "pi,e11,e10,e01,e00,r_given_1,r_given_0,weight\n"
+        "0.5,0.10,0.02,0.03,0.01,0.10,0.01,nan\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "table": [0.05, 0.45, 0.005, 0.495],
+        "budget": {"f": 0.125, "g": 0.03},
+        "k": {"profiles": "p.csv"},
+        "grid": {"m": 50, "refine": False},
+    }))
+    code, out, err = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 1
+    assert "tau" not in out
+    assert "p.csv:2: weight must be a finite nonnegative number" in err
+
+
 def test_no_subcommand_exits_1(capsys):
     assert cli.main([]) == 1
     capsys.readouterr()

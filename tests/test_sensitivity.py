@@ -104,6 +104,13 @@ def test_population_k_validation():
         population_k([GOLF_PROFILE], weights=[0.0])
 
 
+def test_population_k_refuses_non_finite_and_negative_weights():
+    # totals nan, inf and 2: the total alone lets each of them through
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            population_k([GOLF_PROFILE, GOLF_PROFILE], weights=[3.0, bad])
+
+
 def test_point_shift():
     tau = shift_interval(_interval(0.05, 0.43), 0.05)
     assert tau.lower == pytest.approx(0.0)
