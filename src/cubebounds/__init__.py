@@ -15,7 +15,6 @@ from .bounds import (
     GridSpec,
     InfeasibleBudgetError,
     IterationLimitError,
-    assemble,
     minimal_budget,
     solve_bounds,
 )
@@ -26,7 +25,6 @@ from .core import (
     IdentifiedInterval,
     MomentBudget,
     ObservedJoint,
-    TauInterval,
     normalize,
     relative_risk,
     risk_difference,
@@ -79,10 +77,8 @@ __all__ = [
     "PopulationSpec",
     "RunRecord",
     "ShiftedRange",
-    "TauInterval",
     "TypeOracle",
     "VersionModel",
-    "assemble",
     "calibrate_budget",
     "coverage_experiment",
     "decompose",

@@ -235,13 +235,6 @@ def _constraint_rows(joint: ObservedJoint, f: float | MomentBudget,
     )
 
 
-def assemble(req: BoundsRequest, sense: str) -> lp.LinearProgram:
-    """Build the discretized measure LP for one optimization sense."""
-    oracle = GridColumns(req.joint, req.grid.m, objective="psi")
-    return lp.LinearProgram(sense, oracle, _constraint_rows(
-        req.joint, req.budget.f, req.budget.g))
-
-
 def _certificate(oracle: GridColumns, support) -> AtomicMeasure:
     atoms = []
     total = sum(w for _, w in support)

@@ -192,14 +192,20 @@ class _Analysis:
     published_rd: float | None
 
 
-def _env_grid_m() -> int | None:
-    raw = os.environ.get(ENV_GRID)
-    if raw is None:
-        return None
+def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
+    """The grid of one subcommand: m from the flag, else the config, else
+    $CUBEBOUNDS_GRID_M, else DEFAULT_GRID_M."""
+    m = flag if flag is not None else configured
+    if m is None:
+        raw = os.environ.get(ENV_GRID)
+        try:
+            m = DEFAULT_GRID_M if raw is None else int(raw)
+        except ValueError:
+            raise CliError(f"{ENV_GRID}: expected an integer, got {raw!r}")
     try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{ENV_GRID}: expected an integer, got {raw!r}")
+        return GridSpec(m)
+    except ValueError as exc:
+        raise CliError(str(exc))
 
 
 def _resolve(args) -> _Analysis:
@@ -296,27 +302,19 @@ def _resolve(args) -> _Analysis:
     if k_min > k_max:
         raise CliError("k min exceeds k max")
 
-    # grid: flag > config > environment > default; refine flag only enables
+    # grid: see _grid for the order; the refine flag only enables
     gcfg = cfg.get("grid", {})
     if not isinstance(gcfg, dict):
         raise CliError(f"{origin}: grid must be an object")
     _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
-    m = args.grid_m
-    if m is None and "m" in gcfg:
-        m = int(_number(gcfg["m"], f"{origin}: grid.m"))
-    if m is None:
-        m = _env_grid_m()
-    if m is None:
-        m = DEFAULT_GRID_M
+    configured_m = (int(_number(gcfg["m"], f"{origin}: grid.m"))
+                    if "m" in gcfg else None)
+    grid = _grid(args.grid_m, configured_m)
     refine = bool(args.refine or gcfg.get("refine", False))
     refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
     max_m = int(_number(gcfg.get("max_m", 256), f"{origin}: grid.max_m"))
-    try:
-        grid = GridSpec(m)
-        if refine_tol <= 0 or max_m < m:
-            raise ValueError("refine_tol must be positive and max_m >= m")
-    except ValueError as exc:
-        raise CliError(str(exc))
+    if refine_tol <= 0 or max_m < grid.m:
+        raise CliError("refine_tol must be positive and max_m >= m")
 
     published = None
     if "published_risk_difference" in cfg:
@@ -430,9 +428,9 @@ def cmd_bounds(args) -> int:
     tau_lines = []
     if a.k_mode == "point":
         tau = shift_interval(iv, a.k_point)
-        report["tau"] = {"mode": "point", "K": tau.K,
+        report["tau"] = {"mode": "point", "K": tau.k_min,
                          "lower": tau.lower, "upper": tau.upper}
-        tau_lines.append(f"tau (K={_fmt(tau.K)}): "
+        tau_lines.append(f"tau (K={_fmt(tau.k_min)}): "
                          f"{_fmt(tau.lower)} <= tau <= {_fmt(tau.upper)}")
     elif a.k_mode == "range":
         sr = shift_interval_range(iv, a.k_min, a.k_max)
@@ -559,11 +557,7 @@ def cmd_simulate(args) -> int:
     if args.runs < 1:
         raise CliError("--runs must be at least 1")
     spec = _population_spec(args.spec, args.seed)
-    m = args.grid_m if args.grid_m is not None else (_env_grid_m() or DEFAULT_GRID_M)
-    try:
-        grid = GridSpec(m)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    grid = _grid(args.grid_m)
     try:
         report = sim.coverage_experiment(spec, args.runs, grid=grid)
     except ValueError as exc:
@@ -687,7 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="population spec JSON file")
     p.add_argument("--runs", type=int, default=10, help="number of runs")
     p.add_argument("--seed", type=int, help="override the spec seed")
-    p.add_argument("--grid-m", type=int, help="grid points per axis")
+    p.add_argument("--grid-m", type=int, help=f"grid points per axis "
+                   f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 

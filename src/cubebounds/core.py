@@ -150,15 +150,6 @@ class IdentifiedInterval:
         return self.U - self.L
 
 
-@dataclass(frozen=True)
-class TauInterval:
-    """The causal interval (L - K, U - K) after the bias shift."""
-
-    lower: float
-    upper: float
-    K: float
-
-
 def normalize(table: ContingencyTable) -> ObservedJoint:
     """Convert counts (or frequencies) to an ObservedJoint by dividing by N."""
     n = table.total

@@ -8,7 +8,9 @@ to be materialized; a dense adapter covers small explicit problems.
 Conventions: variables are nonnegative weights; rows are "eq" or "le";
 "le" rows receive slack variables internally; rows whose slack cannot
 start basic receive artificial variables for the two-phase start.
-Maximization is handled by pricing with negated costs.
+Maximization is handled by pricing with negated costs.  Ties in the ratio
+test are broken lexicographically from the first pivot, which rules out
+cycling, so no other anti-cycling guard is needed.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ REFACTOR_EVERY = 64
 
 
 class SingularBasisError(RuntimeError):
-    """Basis algebra failed even after a lexicographic restart."""
+    """Basis algebra failed: a singular basis or a vanishing pivot."""
 
 
 class ColumnOracle(Protocol):
@@ -134,14 +136,13 @@ class LpSolution:
 
 
 class _Simplex:
-    """One revised-simplex run (restartable under the lexicographic rule).
+    """One revised-simplex run under the lexicographic ratio test.
 
     Column ids: 0..n-1 structural, then one slack per "le" row in row
     order, then artificials assigned at the phase-1 start.
 
-    Under the lexicographic rule, ratio-test ties are broken on the rows
-    of B^-1 B_ref / d, where B_ref is the basis matrix when the rule is
-    switched on and at the start of each phase (after phase 1 deletes
+    Ratio-test ties are broken on the rows of B^-1 B_ref / d, where B_ref
+    is the basis matrix at the start of each phase (after phase 1 deletes
     redundant rows or pivots artificials out).  Every row of
     [x_B, B^-1 B_ref] then stays lexicographically positive and the
     objective falls lexicographically at each pivot, so no basis repeats
@@ -149,14 +150,13 @@ class _Simplex:
     """
 
     def __init__(self, lp: LinearProgram, tol_feas: float, tol_opt: float,
-                 max_iter: int, lex: bool):
+                 max_iter: int):
         self.oracle = lp.oracle
         self.n = lp.oracle.n
         self.sense = 1.0 if lp.sense == "min" else -1.0
         self.tol_feas = tol_feas
         self.tol_opt = tol_opt
         self.max_iter = max_iter
-        self.lex = lex
         self.ref: np.ndarray | None = None
 
         self.rels = [rel for rel, _ in lp.rows]
@@ -168,7 +168,6 @@ class _Simplex:
         self.art_rows: list[int] = []
         self.art_signs: list[float] = []
         self.iterations = 0
-        self.degenerate_run = 0
         self.deleted: list[int] = []
 
     # -- columns and costs ---------------------------------------------------
@@ -224,7 +223,13 @@ class _Simplex:
         self.xb = signs * self.rhs
 
     def basis_matrix(self) -> np.ndarray:
-        return np.column_stack([self.col(cid) for cid in self.basis])
+        basis = np.array(self.basis)
+        structural = basis < self.n
+        B = np.zeros((len(self.active), len(basis)))
+        B[:, structural] = self.oracle.columns(basis[structural], self.active)
+        for pos in np.nonzero(~structural)[0]:
+            B[:, pos] = self.col(int(basis[pos]))
+        return B
 
     def refactorize(self) -> None:
         B = self.basis_matrix()
@@ -242,7 +247,6 @@ class _Simplex:
         if abs(piv) < PIVOT_TOL:
             raise SingularBasisError("vanishing pivot element")
         theta = self.xb[leave_pos] / piv
-        self.degenerate_run = self.degenerate_run + 1 if abs(theta) <= self.tol_feas else 0
         self.xb = self.xb - theta * d
         self.xb[leave_pos] = theta
         self.binv[leave_pos, :] /= piv
@@ -254,9 +258,6 @@ class _Simplex:
         self.pivots_since_refactor += 1
         if self.pivots_since_refactor >= REFACTOR_EVERY:
             self.refactorize()
-        if not self.lex and self.degenerate_run > 10 * len(self.active):
-            self.lex = True
-            self.ref = self.basis_matrix()
 
     # -- simplex iterations ------------------------------------------------------
 
@@ -283,21 +284,19 @@ class _Simplex:
         if cand.size == 0:
             return None
         ratios = self.xb[cand] / d[cand]
-        best = np.min(ratios)
-        ties = cand[ratios <= best + self.tol_feas]
-        if not self.lex:
-            return int(max(ties, key=lambda pos: d[pos]))
+        ties = cand[ratios <= np.min(ratios) + self.tol_feas]
+        if ties.size == 1:
+            return int(ties[0])
         lex = (self.binv[ties] @ self.ref) / d[ties, None]
-        for column in lex.T:
-            keep = column <= column.min() + self.tol_feas
+        for c in range(lex.shape[1]):
+            keep = lex[:, c] <= lex[:, c].min() + self.tol_feas
             ties, lex = ties[keep], lex[keep]
             if ties.size == 1:
                 break
         return int(ties[0])
 
     def iterate(self, phase: int) -> str:
-        if self.lex:
-            self.ref = self.basis_matrix()
+        self.ref = self.basis_matrix()
         while True:
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
@@ -395,13 +394,9 @@ def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_opt: float = 1e-9,
           max_iter: int = 20000) -> LpSolution:
     """Solve an LP by two-phase revised simplex.
 
-    Dantzig pricing over the full column oracle, with a permanent switch
-    to the lexicographic ratio test after a long run of degenerate pivots.
-    A numerically singular basis triggers one restart under the
-    lexicographic rule from scratch; a second failure raises
-    SingularBasisError.
+    Dantzig pricing over the full column oracle, and the lexicographic
+    ratio test from the first pivot, which cannot cycle.  The rule is
+    deterministic, so a numerically singular basis is not retried: it
+    raises SingularBasisError.
     """
-    try:
-        return _Simplex(lp, tol_feas, tol_opt, max_iter, lex=False).run()
-    except SingularBasisError:
-        return _Simplex(lp, tol_feas, tol_opt, max_iter, lex=True).run()
+    return _Simplex(lp, tol_feas, tol_opt, max_iter).run()

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import IdentifiedInterval, MomentBudget, ObservedJoint, TauInterval
+from .core import IdentifiedInterval, MomentBudget, ObservedJoint
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -110,11 +110,6 @@ def population_k(profiles: Iterable[IndividualProfile],
     return sum(w * k for w, k in zip(weights, ks)) / total
 
 
-def shift_interval(interval: IdentifiedInterval, k: float) -> TauInterval:
-    """Bounds on tau from bounds on psi under a known bias K = k."""
-    return TauInterval(lower=interval.L - k, upper=interval.U - k, K=k)
-
-
 @dataclass(frozen=True)
 class ShiftedRange:
     """Bounds on tau when only a range for K is assumed.
@@ -137,6 +132,11 @@ def shift_interval_range(interval: IdentifiedInterval,
         raise ValueError("k_min must not exceed k_max")
     return ShiftedRange(lower=interval.L - k_max, upper=interval.U - k_min,
                         k_min=k_min, k_max=k_max)
+
+
+def shift_interval(interval: IdentifiedInterval, k: float) -> ShiftedRange:
+    """Bounds on tau from bounds on psi under a known bias K = k."""
+    return shift_interval_range(interval, k, k)
 
 
 def calibrate_budget(joint: ObservedJoint, d_x: float, d_y: float) -> MomentBudget:

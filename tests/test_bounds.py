@@ -11,7 +11,7 @@ from cubebounds.bounds import (
     GridColumns,
     GridSpec,
     InfeasibleBudgetError,
-    assemble,
+    _constraint_rows,
     minimal_budget,
     solve_bounds,
 )
@@ -68,14 +68,13 @@ def test_equality_rows_sum_to_one_at_every_point():
 
 
 def test_assemble_row_order_and_rhs():
-    req = _fixed(GOLF, 0.125, 0.03, 4)
-    program = assemble(req, "min")
-    relations = [rel for rel, _ in program.rows]
-    rhs = [value for _, value in program.rows]
+    rows = _constraint_rows(GOLF, 0.125, 0.03)
+    relations = [rel for rel, _ in rows]
+    rhs = [value for _, value in rows]
     assert relations == ["eq", "eq", "eq", "eq", "le", "le", "eq"]
     assert rhs[:4] == [0.005, 0.05, 0.495, 0.45]
     assert rhs[4:] == [0.125, 0.03, 1.0]
-    assert program.oracle.n == 64
+    assert GridColumns(GOLF, 4).n == 64
 
 
 def test_oracle_cost_is_prognosis_contrast():

@@ -8,6 +8,7 @@ from cubebounds import cli, lp
 from cubebounds.bounds import IterationLimitError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -242,6 +243,16 @@ def test_env_var_sets_default_grid(capsys, monkeypatch):
     assert code == 1
 
 
+def test_env_var_grid_is_checked_for_simulate_too(capsys, monkeypatch):
+    monkeypatch.setenv(cli.ENV_GRID, "0")
+    for argv in (("bounds", "--table", str(FIXTURES / "golf.tbl"),
+                  "--f", "0.125", "--g", "0.03"),
+                 ("simulate", str(FIXTURES / "golf_toy.json"), "--runs", "1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "grid needs at least 2 points per axis" in err
+
+
 def test_config_inline_table_and_k_profiles(capsys, tmp_path):
     profiles = tmp_path / "p.csv"
     profiles.write_text(
@@ -280,6 +291,29 @@ def test_calibrate_requires_discrimination_mode(capsys):
                          "--g", "0.1")
     assert code == 1
     assert "discrimination" in err
+
+
+# -- golden text reports ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("bounds_golf", ("bounds", "--config", FIXTURES / "golf.json")),
+    ("bounds_drug", ("bounds", "--config", FIXTURES / "drug.json")),
+    ("bounds_vaccine", ("bounds", "--config", FIXTURES / "vaccine.json")),
+    ("bounds_drug_refine",
+     ("bounds", "--config", FIXTURES / "drug.json", "--refine")),
+    ("bounds_golf_refine",
+     ("bounds", "--config", FIXTURES / "golf.json", "--refine")),
+    ("simulate_golf_toy",
+     ("simulate", FIXTURES / "golf_toy.json", "--runs", "10")),
+    ("decompose_profiles", ("decompose", FIXTURES / "profiles.csv")),
+])
+def test_text_report_matches_golden(capsys, monkeypatch, name, argv):
+    # the whole stdout, byte for byte
+    monkeypatch.delenv(cli.ENV_GRID, raising=False)
+    code, out, err = run(capsys, *map(str, argv))
+    assert code == 0, err
+    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 # -- simulate --------------------------------------------------------------------

@@ -11,7 +11,6 @@ from cubebounds.core import (
     IdentifiedInterval,
     MomentBudget,
     ObservedJoint,
-    TauInterval,
     normalize,
     relative_risk,
     risk_difference,
@@ -146,11 +145,6 @@ def test_interval_validation():
         IdentifiedInterval(L=-1.5, U=0.4, certificate_min=cert,
                            certificate_max=cert, grid_resolution=8,
                            converged=True)
-
-
-def test_tau_interval_is_plain_record():
-    t = TauInterval(lower=-0.1, upper=0.3, K=0.05)
-    assert (t.lower, t.upper, t.K) == (-0.1, 0.3, 0.05)
 
 
 def test_normalize_random_tables_sum_to_one():

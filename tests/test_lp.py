@@ -8,15 +8,9 @@ from helpers import bfs_optima, random_lp
 
 
 def _solve(sense, costs, matrix, rows, **kw):
+    # every pivot of lp.solve runs the lexicographic ratio test
     oracle = lp.DenseColumns(costs, matrix)
     return lp.solve(lp.LinearProgram(sense, oracle, tuple(rows)), **kw)
-
-
-def _solve_lex(sense, costs, matrix, rows):
-    # the lexicographic rule on from the first pivot; lp.solve only
-    # switches to it after a long degenerate run or a singular basis
-    program = lp.LinearProgram(sense, lp.DenseColumns(costs, matrix), tuple(rows))
-    return lp._Simplex(program, 1e-9, 1e-9, 20000, lex=True).run()
 
 
 def test_trivial_simplex_vertex():
@@ -152,26 +146,39 @@ def test_matches_enumeration_on_seeded_instances():
         costs, matrix, rows = random_lp(rng)
         status, lo, hi = bfs_optima(costs, matrix, rows)
         assert status == "optimal"
-        for solver in (_solve, _solve_lex):
-            smin = solver("min", costs, matrix, rows)
-            smax = solver("max", costs, matrix, rows)
-            assert smin.status == smax.status == lp.OPTIMAL
-            assert smin.objective == pytest.approx(lo, abs=1e-9)
-            assert smax.objective == pytest.approx(hi, abs=1e-9)
+        smin = _solve("min", costs, matrix, rows)
+        smax = _solve("max", costs, matrix, rows)
+        assert smin.status == smax.status == lp.OPTIMAL
+        assert smin.objective == pytest.approx(lo, abs=1e-9)
+        assert smax.objective == pytest.approx(hi, abs=1e-9)
 
 
 def test_degenerate_vertices_do_not_cycle():
-    # many tied basic solutions at the same vertex; Dantzig with the
-    # anti-cycling guard must still terminate at the optimum
+    # many tied basic solutions at the same vertex; Dantzig entering with
+    # the lexicographic ratio test must still terminate at the optimum
     costs = [1.0, 1.0, 1.0, 1.0, 0.0]
     matrix = [[1.0, 1.0, 1.0, 1.0, 1.0],
               [1.0, -1.0, 0.0, 0.0, 0.0],
               [0.0, 0.0, 1.0, -1.0, 0.0]]
     rows = [("eq", 1.0), ("eq", 0.0), ("eq", 0.0)]
-    for solver in (_solve, _solve_lex):
-        sol = solver("min", costs, matrix, rows)
-        assert sol.status == lp.OPTIMAL
-        assert sol.objective == pytest.approx(0.0, abs=1e-9)
+    sol = _solve("min", costs, matrix, rows)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(0.0, abs=1e-9)
+
+
+def test_ratio_test_narrows_ties_column_by_column():
+    # positions 0..2 tie on x_B / d = 0.1.  The first column of
+    # B^-1 B_ref / d keeps positions 0 and 1, and the second column,
+    # 1.5 against 2.0 after the division by d, picks position 0.
+    program = lp.LinearProgram("min", lp.DenseColumns([0.0], [[1.0]] * 3),
+                               (("eq", 1.0),) * 3)
+    simplex = lp._Simplex(program, 1e-9, 1e-9, 20000)
+    simplex.xb = np.array([0.2, 0.1, 0.1])
+    simplex.binv = np.eye(3)
+    simplex.ref = np.array([[0.0, 3.0, 1.0],
+                            [0.0, 2.0, 0.0],
+                            [1.0, 0.0, 0.0]])
+    assert simplex.ratio_test(np.array([2.0, 1.0, 1.0])) == 0
 
 
 def test_solution_reports_iterations():

@@ -113,9 +113,10 @@ def test_population_k_refuses_non_finite_and_negative_weights():
 
 def test_point_shift():
     tau = shift_interval(_interval(0.05, 0.43), 0.05)
+    assert tau == shift_interval_range(_interval(0.05, 0.43), 0.05, 0.05)
     assert tau.lower == pytest.approx(0.0)
     assert tau.upper == pytest.approx(0.38)
-    assert tau.K == 0.05
+    assert tau.k_min == tau.k_max == 0.05
 
 
 def test_range_shift_two_sided():
