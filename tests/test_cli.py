@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: parsing, reports, exit codes."""
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -293,7 +294,10 @@ def test_calibrate_requires_discrimination_mode(capsys):
     assert "discrimination" in err
 
 
-# -- golden text reports ---------------------------------------------------------
+# -- golden reports --------------------------------------------------------------
+
+GOLF_DISC = ("bounds", "--table", FIXTURES / "golf.tbl", "--dx", "0.5",
+             "--dy", "0.5", "--grid-m", "50")
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -307,13 +311,55 @@ def test_calibrate_requires_discrimination_mode(capsys):
     ("simulate_golf_toy",
      ("simulate", FIXTURES / "golf_toy.json", "--runs", "10")),
     ("decompose_profiles", ("decompose", FIXTURES / "profiles.csv")),
+    ("bounds_golf_disc_k_range", GOLF_DISC + ("--k-min", "0", "--k-max", "0.05")),
+    ("bounds_golf_disc_k_max", GOLF_DISC + ("--k-max", "0.05")),
+    ("calibrate_golf", ("calibrate", "--table", FIXTURES / "golf.tbl",
+                        "--dx", "0.5", "--dy", "0.5")),
+    # --json reports, compared after parsing (see _assert_same_report)
+    ("bounds_golf", ("bounds", "--config", FIXTURES / "golf.json", "--json")),
+    ("bounds_drug", ("bounds", "--config", FIXTURES / "drug.json", "--json")),
+    ("bounds_vaccine",
+     ("bounds", "--config", FIXTURES / "vaccine.json", "--json")),
+    ("bounds_golf_disc_k_range",
+     GOLF_DISC + ("--k-min", "0", "--k-max", "0.05", "--json")),
+    ("bounds_golf_disc_k_max", GOLF_DISC + ("--k-max", "0.05", "--json")),
+    ("calibrate_golf", ("calibrate", "--table", FIXTURES / "golf.tbl",
+                        "--dx", "0.5", "--dy", "0.5", "--json")),
+    ("simulate_golf_toy_runs3",
+     ("simulate", FIXTURES / "golf_toy.json", "--runs", "3", "--json")),
+    ("decompose_profiles",
+     ("decompose", FIXTURES / "profiles.csv", "--json")),
 ])
 def test_text_report_matches_golden(capsys, monkeypatch, name, argv):
-    # the whole stdout, byte for byte
+    # text: the whole stdout, byte for byte; --json: the parsed report
     monkeypatch.delenv(cli.ENV_GRID, raising=False)
     code, out, err = run(capsys, *map(str, argv))
     assert code == 0, err
-    assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+    if "--json" in argv:
+        golden = json.loads((GOLDEN / f"{name}.json").read_text())
+        _assert_same_report(json.loads(out), golden)
+    else:
+        assert out.encode() == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+def _assert_same_report(got, want, path="report"):
+    """Same keys, list lengths and types; exact strings, booleans, null and
+    integers; floats to 1e-12, since the last bit may differ between BLAS
+    builds (the byte form is test_bounds_json_round_trips's job)."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_same_report(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_report(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert math.isclose(got, want, rel_tol=0.0, abs_tol=1e-12), \
+            f"{path}: {got!r} != {want!r}"
+    else:
+        assert got == want, path
 
 
 # -- simulate --------------------------------------------------------------------
