@@ -84,7 +84,7 @@ class BoundsRequest:
     def __post_init__(self) -> None:
         if self.refine_tol <= 0:
             raise ValueError("refine_tol must be positive")
-        if self.max_m < self.grid.m:
+        if self.refine and self.max_m < self.grid.m:
             raise ValueError("max_m must not be below the starting grid")
 
 

@@ -4,8 +4,9 @@ Subcommands: bounds (identified interval and optional tau shift),
 calibrate (discrimination fractions to moment budgets), simulate
 (coverage experiment against the simulator's oracle), decompose
 (per-profile bias split).  Inputs come from flags, a JSON config file,
-or both (flags win).  Reports render as text (4 decimals) or as
-canonical JSON (full precision, sorted keys) with --json.
+or both (flags win).  Each subcommand returns one report dict; main
+writes it as canonical JSON (full precision, sorted keys) with --json,
+and otherwise as text (4 decimals) rendered from that dict alone.
 
 Exit codes: 0 success, 1 input error, 2 infeasible budget, 3 solver
 failure (iteration limit or singular basis).
@@ -46,7 +47,6 @@ from .sensitivity import (
     calibrate_budget,
     decompose,
     population_k,
-    shift_interval,
     shift_interval_range,
 )
 
@@ -64,11 +64,6 @@ def _fmt(x: float) -> str:
 
 def _pct(x: float) -> str:
     return f"{100.0 * x:.3f}%"
-
-
-def _emit_json(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True,
-                                allow_nan=False) + "\n")
 
 
 # -- input parsing ------------------------------------------------------------
@@ -126,6 +121,13 @@ def _number(value, origin: str) -> float:
     return float(value)
 
 
+def _integer(value, origin: str) -> int:
+    number = _number(value, origin)
+    if not number.is_integer():
+        raise CliError(f"{origin}: expected an integer, got {value!r}")
+    return int(number)
+
+
 def _finite_float(text: str) -> float:
     """argparse type for the float flags: NaN and +-inf are refused; an
     open side of a K range is written by leaving its flag out."""
@@ -141,30 +143,25 @@ def _finite_float(text: str) -> float:
 def _read_profiles(path: str):
     """Profiles CSV -> (profiles, weights-or-None); errors name the row."""
     fields = ("pi", "e11", "e10", "e01", "e00", "r_given_1", "r_given_0")
-    try:
-        handle = open(path, newline="")
-    except OSError as exc:
-        raise CliError(f"{path}: {exc.strerror or exc}")
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        missing = [f for f in fields if f not in header]
-        if missing:
-            raise CliError(f"{path}:1: missing columns {missing}")
-        weighted = "weight" in header
-        profiles, weights = [], []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                profiles.append(IndividualProfile(
-                    **{f: float(row[f]) for f in fields}))
-                if weighted:
-                    weight = float(row["weight"])
-                    if not (math.isfinite(weight) and weight >= 0):
-                        raise ValueError("weight must be a finite nonnegative "
-                                         f"number, got {row['weight']!r}")
-                    weights.append(weight)
-            except (TypeError, ValueError) as exc:
-                raise CliError(f"{path}:{lineno}: {exc}")
+    reader = csv.DictReader(_read_text(path).splitlines())
+    header = reader.fieldnames or []
+    missing = [f for f in fields if f not in header]
+    if missing:
+        raise CliError(f"{path}:1: missing columns {missing}")
+    weighted = "weight" in header
+    profiles, weights = [], []
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            profiles.append(IndividualProfile(
+                **{f: float(row[f]) for f in fields}))
+            if weighted:
+                weight = float(row["weight"])
+                if not (math.isfinite(weight) and weight >= 0):
+                    raise ValueError("weight must be a finite nonnegative "
+                                     f"number, got {row['weight']!r}")
+                weights.append(weight)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}:{lineno}: {exc}")
     if not profiles:
         raise CliError(f"{path}: no profile rows")
     return profiles, (weights if weighted else None)
@@ -177,14 +174,12 @@ class _Analysis:
     table: ContingencyTable
     joint: ObservedJoint
     budget_mode: str | None      # "explicit" | "discrimination"
-    budget: MomentBudget | None
+    budget: MomentBudget | None  # calibrated in discrimination mode
     d_x: float | None
     d_y: float | None
-    k_mode: str | None           # "point" | "range" | None
-    k_point: float | None
+    k_mode: str | None           # "point" (k_min == k_max) | "range" | None
     k_min: float
     k_max: float
-    k_source: str | None
     grid: GridSpec
     refine: bool
     refine_tol: float
@@ -202,10 +197,7 @@ def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
             m = DEFAULT_GRID_M if raw is None else int(raw)
         except ValueError:
             raise CliError(f"{ENV_GRID}: expected an integer, got {raw!r}")
-    try:
-        return GridSpec(m)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return GridSpec(m)
 
 
 def _resolve(args) -> _Analysis:
@@ -268,30 +260,27 @@ def _resolve(args) -> _Analysis:
                                        ("config k", "k" in cfg)) if flag]
     if len(k_given) > 1:
         raise CliError(f"multiple K specifications: {', '.join(k_given)}")
-    k_mode = k_point = k_source = None
+    k_mode = None
     k_min, k_max = -math.inf, math.inf
     if args.k is not None:
-        k_mode, k_point, k_source = "point", args.k, "flag"
+        k_mode, k_min = "point", args.k
     elif args.k_min is not None or args.k_max is not None:
-        k_mode, k_source = "range", "flag"
-        if args.k_min is not None:
-            k_min = args.k_min
-        if args.k_max is not None:
-            k_max = args.k_max
+        k_mode = "range"
+        k_min = -math.inf if args.k_min is None else args.k_min
+        k_max = math.inf if args.k_max is None else args.k_max
     elif "k" in cfg:
         spec = cfg["k"]
         if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            k_mode, k_point, k_source = "point", _number(spec, f"{origin}: k"), origin
+            k_mode, k_min = "point", _number(spec, f"{origin}: k")
         elif isinstance(spec, dict) and "profiles" in spec:
             _check_keys(spec, {"profiles"}, f"{origin}: k")
             profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
-            k_mode, k_source = "point", f"profiles ({spec['profiles']})"
-            k_point = population_k(profiles, weights)
+            k_mode, k_min = "point", population_k(profiles, weights)
         elif isinstance(spec, dict):
             _check_keys(spec, {"min", "max"}, f"{origin}: k")
             if not spec:
                 raise CliError(f"{origin}: k range needs min and/or max")
-            k_mode, k_source = "range", origin
+            k_mode = "range"
             if "min" in spec:
                 k_min = _number(spec["min"], f"{origin}: k.min")
             if "max" in spec:
@@ -299,32 +288,38 @@ def _resolve(args) -> _Analysis:
         else:
             raise CliError(f"{origin}: k must be a number, a min/max object, "
                            f"or a profiles object")
+    if k_mode == "point":
+        k_max = k_min
     if k_min > k_max:
         raise CliError("k min exceeds k max")
 
-    # grid: see _grid for the order; the refine flag only enables
+    # grid: see _grid for the order; the refine flag only enables, and
+    # max_m bounds refinement alone
     gcfg = cfg.get("grid", {})
     if not isinstance(gcfg, dict):
         raise CliError(f"{origin}: grid must be an object")
     _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
-    configured_m = (int(_number(gcfg["m"], f"{origin}: grid.m"))
+    configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
                     if "m" in gcfg else None)
     grid = _grid(args.grid_m, configured_m)
-    refine = bool(args.refine or gcfg.get("refine", False))
+    refine = gcfg.get("refine", False)
+    if not isinstance(refine, bool):
+        raise CliError(f"{origin}: grid.refine: expected true or false, "
+                       f"got {refine!r}")
+    refine = args.refine or refine
     refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
-    max_m = int(_number(gcfg.get("max_m", 256), f"{origin}: grid.max_m"))
-    if refine_tol <= 0 or max_m < grid.m:
+    max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
+    if refine_tol <= 0 or (refine and max_m < grid.m):
         raise CliError("refine_tol must be positive and max_m >= m")
 
-    published = None
-    if "published_risk_difference" in cfg:
-        published = _number(cfg["published_risk_difference"],
-                            f"{origin}: published_risk_difference")
-
+    published = (_number(cfg["published_risk_difference"],
+                         f"{origin}: published_risk_difference")
+                 if "published_risk_difference" in cfg else None)
+    if budget_mode == "discrimination":
+        budget = calibrate_budget(joint, d_x, d_y)
     return _Analysis(table=table, joint=joint, budget_mode=budget_mode,
                      budget=budget, d_x=d_x, d_y=d_y, k_mode=k_mode,
-                     k_point=k_point, k_min=k_min, k_max=k_max,
-                     k_source=k_source, grid=grid, refine=refine,
+                     k_min=k_min, k_max=k_max, grid=grid, refine=refine,
                      refine_tol=refine_tol, max_m=max_m,
                      published_rd=published)
 
@@ -364,16 +359,14 @@ def _risks(joint: ObservedJoint) -> dict:
             "relative_risk": None if math.isnan(rr) else rr}
 
 
-def _table_line(table: ContingencyTable) -> str:
-    kind = "frequencies" if table.is_frequencies else "counts"
-    cells = " ".join(f"{name}={table_value:g}" for name, table_value in (
-        ("n11", table.n11), ("n10", table.n10),
-        ("n01", table.n01), ("n00", table.n00)))
-    return f"table: {cells} ({kind}, total {table.total:g})"
+def _table_line(table: dict) -> str:
+    kind = "frequencies" if table["frequencies"] else "counts"
+    cells = " ".join(f"{name}={table[name]:g}"
+                     for name in ("n11", "n10", "n01", "n00"))
+    return f"table: {cells} ({kind}, total {table['total']:g})"
 
 
-def _risk_lines(joint: ObservedJoint, published: float | None) -> list[str]:
-    risks = _risks(joint)
+def _risk_lines(risks: dict, published: float | None) -> list[str]:
     lines = []
     if risks["risk_x1"] is None:
         lines.append("risks: undefined (a treatment arm is empty)")
@@ -390,29 +383,19 @@ def _risk_lines(joint: ObservedJoint, published: float | None) -> list[str]:
     return lines
 
 
-# -- subcommands ---------------------------------------------------------------
+# -- subcommands: each returns its report; a *_text function renders it ------
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> dict:
     a = _resolve(args)
     if a.budget_mode is None:
         raise CliError("no budget given (use --f/--g, --dx/--dy, or a config)")
-    if a.budget_mode == "discrimination":
-        try:
-            budget = calibrate_budget(a.joint, a.d_x, a.d_y)
-        except ValueError as exc:
-            raise CliError(str(exc))
-    else:
-        budget = a.budget
-
-    req = BoundsRequest(a.joint, budget, a.grid, refine=a.refine,
-                        refine_tol=a.refine_tol, max_m=a.max_m)
-    iv = solve_bounds(req)
-
+    iv = solve_bounds(BoundsRequest(a.joint, a.budget, a.grid, refine=a.refine,
+                                    refine_tol=a.refine_tol, max_m=a.max_m))
     report = {
         "table": _table_dict(a.table),
         "joint": _joint_dict(a.joint),
         "risks": _risks(a.joint),
-        "budget": {"f": budget.f, "g": budget.g, "mode": a.budget_mode,
+        "budget": {"f": a.budget.f, "g": a.budget.g, "mode": a.budget_mode,
                    "d_x": a.d_x, "d_y": a.d_y},
         "grid": {"m_start": a.grid.m, "m_final": iv.grid_resolution,
                  "refine": a.refine, "converged": iv.converged},
@@ -424,87 +407,73 @@ def cmd_bounds(args) -> int:
     }
     if a.published_rd is not None:
         report["published_risk_difference"] = a.published_rd
-
-    tau_lines = []
-    if a.k_mode == "point":
-        tau = shift_interval(iv, a.k_point)
-        report["tau"] = {"mode": "point", "K": tau.k_min,
-                         "lower": tau.lower, "upper": tau.upper}
-        tau_lines.append(f"tau (K={_fmt(tau.k_min)}): "
-                         f"{_fmt(tau.lower)} <= tau <= {_fmt(tau.upper)}")
-    elif a.k_mode == "range":
+    if a.k_mode is not None:
         sr = shift_interval_range(iv, a.k_min, a.k_max)
-        report["tau"] = {
-            "mode": "range",
-            "k_min": None if math.isinf(sr.k_min) else sr.k_min,
-            "k_max": None if math.isinf(sr.k_max) else sr.k_max,
-            "lower": None if math.isinf(sr.lower) else sr.lower,
-            "upper": None if math.isinf(sr.upper) else sr.upper,
-        }
-        if math.isinf(sr.k_max):
-            tau_lines.append(f"tau (K >= {_fmt(sr.k_min)}): "
-                             f"tau <= {_fmt(sr.upper)} (no lower bound)")
-        elif math.isinf(sr.k_min):
-            tau_lines.append(f"tau (K <= {_fmt(sr.k_max)}): "
-                             f"tau >= {_fmt(sr.lower)} (no upper bound)")
-        else:
-            tau_lines.append(
-                f"tau (K in [{_fmt(sr.k_min)}, {_fmt(sr.k_max)}]): "
-                f"{_fmt(sr.lower)} <= tau <= {_fmt(sr.upper)}")
-
-    if args.json:
-        _emit_json(report)
-        return 0
-
-    lines = [_table_line(a.table),
-             f"joint: p11={_fmt(a.joint.p11)} p10={_fmt(a.joint.p10)} "
-             f"p01={_fmt(a.joint.p01)} p00={_fmt(a.joint.p00)} "
-             f"(px1={_fmt(a.joint.px1)}, py1={_fmt(a.joint.py1)})"]
-    lines += _risk_lines(a.joint, a.published_rd)
-    mode = (a.budget_mode if a.budget_mode == "explicit"
-            else f"discrimination d_x={_fmt(a.d_x)} d_y={_fmt(a.d_y)}")
-    lines.append(f"budget: f={_fmt(budget.f)} g={_fmt(budget.g)} ({mode})")
-    lines.append(f"grid: m={iv.grid_resolution} "
-                 f"({'refined' if a.refine else 'fixed'}, "
-                 f"{'converged' if iv.converged else 'not converged'})")
-    lines.append(f"psi: {_fmt(iv.L)} <= psi <= {_fmt(iv.U)} "
-                 f"(width {_fmt(iv.width)})")
-    n_min = len(iv.certificate_min.support())
-    n_max = len(iv.certificate_max.support())
-    lines.append(f"certificates: {n_min} atom{'s' * (n_min != 1)} (min), "
-                 f"{n_max} atom{'s' * (n_max != 1)} (max)")
-    lines += tau_lines
-    print("\n".join(lines))
-    return 0
+        ends = ({"K": sr.k_min} if a.k_mode == "point"
+                else {"k_min": sr.k_min, "k_max": sr.k_max})
+        # an open side of a K range leaves a side of tau open: null in JSON
+        report["tau"] = {"mode": a.k_mode, **{
+            key: None if math.isinf(value) else value
+            for key, value in dict(ends, lower=sr.lower, upper=sr.upper).items()}}
+    return report
 
 
-def cmd_calibrate(args) -> int:
+def _bounds_text(report: dict) -> list[str]:
+    joint, budget, grid = report["joint"], report["budget"], report["grid"]
+    iv, certs = report["interval"], report["certificates"]
+    mode = (budget["mode"] if budget["mode"] == "explicit"
+            else f"discrimination d_x={_fmt(budget['d_x'])} "
+                 f"d_y={_fmt(budget['d_y'])}")
+    n_min, n_max = len(certs["min"]), len(certs["max"])
+    return [
+        _table_line(report["table"]),
+        f"joint: p11={_fmt(joint['p11'])} p10={_fmt(joint['p10'])} "
+        f"p01={_fmt(joint['p01'])} p00={_fmt(joint['p00'])} "
+        f"(px1={_fmt(joint['px1'])}, py1={_fmt(joint['py1'])})",
+        *_risk_lines(report["risks"], report.get("published_risk_difference")),
+        f"budget: f={_fmt(budget['f'])} g={_fmt(budget['g'])} ({mode})",
+        f"grid: m={grid['m_final']} ({'refined' if grid['refine'] else 'fixed'}, "
+        f"{'converged' if grid['converged'] else 'not converged'})",
+        f"psi: {_fmt(iv['L'])} <= psi <= {_fmt(iv['U'])} "
+        f"(width {_fmt(iv['width'])})",
+        f"certificates: {n_min} atom{'s' * (n_min != 1)} (min), "
+        f"{n_max} atom{'s' * (n_max != 1)} (max)",
+        *([_tau_line(report["tau"])] if "tau" in report else []),
+    ]
+
+
+def _tau_line(tau: dict) -> str:
+    if tau["mode"] == "point":
+        k_label = f"K={_fmt(tau['K'])}"
+    elif tau["k_max"] is None:
+        return (f"tau (K >= {_fmt(tau['k_min'])}): "
+                f"tau <= {_fmt(tau['upper'])} (no lower bound)")
+    elif tau["k_min"] is None:
+        return (f"tau (K <= {_fmt(tau['k_max'])}): "
+                f"tau >= {_fmt(tau['lower'])} (no upper bound)")
+    else:
+        k_label = f"K in [{_fmt(tau['k_min'])}, {_fmt(tau['k_max'])}]"
+    return (f"tau ({k_label}): "
+            f"{_fmt(tau['lower'])} <= tau <= {_fmt(tau['upper'])}")
+
+
+def cmd_calibrate(args) -> dict:
     a = _resolve(args)
     if a.budget_mode != "discrimination":
         raise CliError("calibrate needs discrimination fractions "
                        "(--dx/--dy or a config with budget.d_x/d_y)")
-    try:
-        budget = calibrate_budget(a.joint, a.d_x, a.d_y)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    report = {
-        "table": _table_dict(a.table),
-        "joint": _joint_dict(a.joint),
-        "d_x": a.d_x,
-        "d_y": a.d_y,
-        "f": budget.f,
-        "g": budget.g,
-    }
-    if args.json:
-        _emit_json(report)
-        return 0
-    print("\n".join([
-        _table_line(a.table),
-        f"joint: px1={_fmt(a.joint.px1)} py1={_fmt(a.joint.py1)}",
-        f"discrimination: d_x={_fmt(a.d_x)} d_y={_fmt(a.d_y)}",
-        f"budget: f={_fmt(budget.f)} g={_fmt(budget.g)}",
-    ]))
-    return 0
+    return {"table": _table_dict(a.table), "joint": _joint_dict(a.joint),
+            "d_x": a.d_x, "d_y": a.d_y, "f": a.budget.f, "g": a.budget.g}
+
+
+def _calibrate_text(report: dict) -> list[str]:
+    joint = report["joint"]
+    return [
+        _table_line(report["table"]),
+        f"joint: px1={_fmt(joint['px1'])} py1={_fmt(joint['py1'])}",
+        f"discrimination: d_x={_fmt(report['d_x'])} d_y={_fmt(report['d_y'])}",
+        f"budget: f={_fmt(report['f'])} g={_fmt(report['g'])}",
+    ]
 
 
 def _version_model(spec: dict, index: int, origin: str) -> tuple[sim.VersionModel, float]:
@@ -546,25 +515,20 @@ def _population_spec(path: str, seed_override: int | None) -> sim.PopulationSpec
     try:
         return sim.PopulationSpec(
             types=types,
-            N=int(_number(raw["N"], f"{path}: N")),
+            N=_integer(raw["N"], f"{path}: N"),
             seed=(seed_override if seed_override is not None
-                  else int(_number(raw["seed"], f"{path}: seed"))))
+                  else _integer(raw["seed"], f"{path}: seed")))
     except ValueError as exc:
         raise CliError(f"{path}: {exc}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     if args.runs < 1:
         raise CliError("--runs must be at least 1")
     spec = _population_spec(args.spec, args.seed)
-    grid = _grid(args.grid_m)
-    try:
-        report = sim.coverage_experiment(spec, args.runs, grid=grid)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
+    report = sim.coverage_experiment(spec, args.runs, grid=_grid(args.grid_m))
     s = report.oracle
-    payload = {
+    return {
         "N": spec.N,
         "seed": spec.seed,
         "runs": report.runs,
@@ -585,50 +549,51 @@ def cmd_simulate(args) -> int:
                   "psi_covered": r.psi_covered, "tau_covered": r.tau_covered}
                  for r in report.rows],
     }
-    if args.json:
-        _emit_json(payload)
-        return 0
 
+
+def _simulate_text(report: dict) -> list[str]:
+    s, budget, coverage = report["oracle"], report["budget"], report["coverage"]
     lines = [
-        f"population: N={spec.N} seed={spec.seed} types={len(spec.types)}",
-        f"oracle: psi={_fmt(s.psi)} tau={_fmt(s.tau)} K={_fmt(s.K)} "
-        f"f_true={_fmt(s.f_true)} g_true={_fmt(s.g_true)}",
-        f"budget: f={_fmt(report.budget.f)} g={_fmt(report.budget.g)} "
+        f"population: N={report['N']} seed={report['seed']} "
+        f"types={len(s['per_type'])}",
+        f"oracle: psi={_fmt(s['psi'])} tau={_fmt(s['tau'])} K={_fmt(s['K'])} "
+        f"f_true={_fmt(s['f_true'])} g_true={_fmt(s['g_true'])}",
+        f"budget: f={_fmt(budget['f'])} g={_fmt(budget['g'])} "
         f"(oracle moments + 3 SE)"
-        + (" [below oracle moments]" if report.budget_violation else ""),
-        f"grid: m={report.grid_m} (tolerance {_fmt(report.epsilon)})",
+        + (" [below oracle moments]" if report["budget_violation"] else ""),
+        f"grid: m={report['grid_m']} (tolerance {_fmt(report['epsilon'])})",
         "run      L       U  psi  tau",
     ]
-    for r in report.rows:
-        lines.append(f"{r.run:3d} {_fmt(r.L):>7} {_fmt(r.U):>7} "
-                     f"{'yes' if r.psi_covered else 'NO ':>4} "
-                     f"{'yes' if r.tau_covered else 'NO ':>4}")
-    lines.append(f"coverage: psi {report.psi_coverage:.1%}, "
-                 f"tau {report.tau_coverage:.1%} over {report.runs} runs")
-    print("\n".join(lines))
-    return 0
+    for r in report["rows"]:
+        lines.append(f"{r['run']:3d} {_fmt(r['L']):>7} {_fmt(r['U']):>7} "
+                     f"{'yes' if r['psi_covered'] else 'NO ':>4} "
+                     f"{'yes' if r['tau_covered'] else 'NO ':>4}")
+    lines.append(f"coverage: psi {coverage['psi']:.1%}, "
+                 f"tau {coverage['tau']:.1%} over {report['runs']} runs")
+    return lines
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> dict:
     profiles, weights = _read_profiles(args.profiles)
     rows = []
-    for i, profile in enumerate(profiles):
+    for i, profile in enumerate(profiles, start=1):
         d = decompose(profile)
-        rows.append({"row": i + 1, "delta1": d.delta1, "delta2": d.delta2,
+        rows.append({"row": i, "delta1": d.delta1, "delta2": d.delta2,
                      "k": d.k})
-    pop = population_k(profiles, weights)
-    if args.json:
-        _emit_json({"count": len(profiles), "population_K": pop,
-                    "weighted": weights is not None, "profiles": rows})
-        return 0
+    return {"count": len(profiles),
+            "population_K": population_k(profiles, weights),
+            "weighted": weights is not None, "profiles": rows}
+
+
+def _decompose_text(report: dict) -> list[str]:
     lines = ["row   delta1   delta2        k"]
-    for r in rows:
+    for r in report["profiles"]:
         lines.append(f"{r['row']:3d} {_fmt(r['delta1']):>8} "
                      f"{_fmt(r['delta2']):>8} {_fmt(r['k']):>8}")
-    suffix = "weighted" if weights is not None else "unweighted"
-    lines.append(f"population K: {_fmt(pop)} ({len(profiles)} profiles, {suffix})")
-    print("\n".join(lines))
-    return 0
+    suffix = "weighted" if report["weighted"] else "unweighted"
+    lines.append(f"population K: {_fmt(report['population_K'])} "
+                 f"({report['count']} profiles, {suffix})")
+    return lines
 
 
 # -- parser and entry point ----------------------------------------------------
@@ -651,14 +616,14 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dy", type=_finite_float, help="prognosis discrimination in [0,1]")
     p.add_argument("--grid-m", type=int, help=f"grid points per axis "
                    f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="cubebounds",
                      description="Partial identification of causal effects "
                                  "from 2x2 treatment/outcome tables.")
-    sub = parser.add_subparsers(dest="command", metavar="command")
+    sub = parser.add_subparsers(dest="command", metavar="command",
+                                required=True)
 
     p = sub.add_parser("bounds", help="identified interval for psi, "
                                       "optionally shifted to tau")
@@ -668,13 +633,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-max", type=_finite_float, help="upper end of a K range")
     p.add_argument("--refine", action="store_true",
                    help="double the grid until the endpoints stabilize")
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(func=cmd_bounds, render=_bounds_text)
 
     p = sub.add_parser("calibrate", help="moment budgets from "
                                          "discrimination fractions")
     _add_analysis_flags(p)
-    p.set_defaults(func=cmd_calibrate, k=None, k_min=None, k_max=None,
-                   refine=False)
+    p.set_defaults(func=cmd_calibrate, render=_calibrate_text, k=None,
+                   k_min=None, k_max=None, refine=False)
 
     p = sub.add_parser("simulate", help="coverage experiment against a "
                                         "population spec")
@@ -683,14 +648,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="override the spec seed")
     p.add_argument("--grid-m", type=int, help=f"grid points per axis "
                    f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, render=_simulate_text)
 
     p = sub.add_parser("decompose", help="per-profile bias split and "
                                          "population K")
     p.add_argument("profiles", help="profiles CSV file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, render=_decompose_text)
+
+    for p in sub.choices.values():  # main renders every report either way
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -701,15 +667,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse raises even for --help; keep main() returning an int
         return int(exc.code or 0)
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return 1
     try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DegenerateTableError, ValueError) as exc:
+        report = args.func(args)
+        out = (json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+               if args.json else "\n".join(args.render(report)))
+    except (CliError, ValueError) as exc:  # DegenerateTableError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InfeasibleBudgetError as exc:
@@ -727,6 +689,8 @@ def main(argv=None) -> int:
     except (IterationLimitError, lp.SingularBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    print(out)
+    return 0
 
 
 if __name__ == "__main__":

@@ -371,3 +371,7 @@ def test_request_validation():
                       refine_tol=0.0)
     with pytest.raises(ValueError):
         BoundsRequest(GOLF, MomentBudget(0.1, 0.1), GridSpec(8), max_m=4)
+    # max_m bounds refinement only: a fixed grid may lie above it
+    req = BoundsRequest(GOLF, MomentBudget(0.1, 0.1), GridSpec(8),
+                        refine=False, max_m=4)
+    assert req.grid.m == 8

@@ -142,20 +142,40 @@ def test_non_finite_k_flag_exits_1(capsys, flag):
         assert out == ""
 
 
-@pytest.mark.parametrize("extra, name", [
-    ({"k": float("nan")}, "k"),
-    ({"k": {"min": float("nan")}}, "k.min"),
-    ({"grid": {"refine": True, "refine_tol": float("nan")}}, "grid.refine_tol"),
-], ids=["k", "k.min", "grid.refine_tol"])
-def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name):
+@pytest.mark.parametrize("extra, name, expected", [
+    ({"k": float("nan")}, "k", "expected a finite number"),
+    ({"k": {"min": float("nan")}}, "k.min", "expected a finite number"),
+    ({"grid": {"refine": True, "refine_tol": float("nan")}}, "grid.refine_tol",
+     "expected a finite number"),
+    # bool("false") is True: a string must not switch refinement on
+    ({"grid": {"refine": "false"}}, "grid.refine",
+     "expected true or false, got 'false'"),
+    # int() would truncate 64.7 to 64 without a word
+    ({"grid": {"m": 64.7}}, "grid.m", "expected an integer, got 64.7"),
+], ids=["k", "k.min", "grid.refine_tol", "grid.refine", "grid.m"])
+def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
+                                          expected):
+    """Non-finite, non-boolean and non-integral config values exit 1 and
+    name the field."""
     config = tmp_path / "config.json"
     # json.dumps writes NaN as the bare token NaN, which json.loads reads back
     config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
                                   "budget": {"f": 0.03, "g": 0.04}, **extra}))
     code, out, err = run(capsys, "bounds", "--config", str(config))
     assert code == 1
-    assert f"error: {config}: {name}: expected a finite number" in err
+    assert f"error: {config}: {name}: {expected}" in err
     assert out == ""
+
+
+def test_fixed_grid_above_max_m_needs_no_refine(capsys):
+    # max_m (default 256) bounds refinement only
+    data = run_json(capsys, "bounds", "--table", str(FIXTURES / "drug.tbl"),
+                    "--f", "0.03", "--g", "0.04", "--grid-m", "300", "--json")
+    assert data["grid"]["m_final"] == 300
+    assert data["grid"]["refine"] is False
+    data = run_json(capsys, "simulate", str(FIXTURES / "golf_toy.json"),
+                    "--runs", "1", "--grid-m", "300", "--json")
+    assert data["grid_m"] == 300
 
 
 def test_open_k_side_is_an_absent_flag(capsys):
@@ -398,6 +418,18 @@ def test_simulate_rejects_zero_runs(capsys):
     code, out, err = run(capsys, "simulate", str(FIXTURES / "golf_toy.json"),
                          "--runs", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize("key", ["N", "seed"])
+def test_simulate_refuses_fractional_integer_fields(capsys, tmp_path, key):
+    spec = json.loads((FIXTURES / "golf_toy.json").read_text())
+    spec[key] = {"N": 1000.7, "seed": 3.9}[key]
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "simulate", str(bad), "--runs", "1")
+    assert code == 1
+    assert out == ""
+    assert f"error: {bad}: {key}: expected an integer, got {spec[key]}" in err
 
 
 def test_simulate_invalid_spec_exits_1(capsys, tmp_path):
