@@ -244,6 +244,21 @@ def _certificate(oracle: GridColumns, support) -> AtomicMeasure:
     return AtomicMeasure(tuple(atoms))
 
 
+def _checked(sol: lp.LpSolution, m: int) -> lp.LpSolution | None:
+    """An optimal solution as is, None for an infeasible grid, and an
+    error for any other status."""
+    if sol.status == lp.INFEASIBLE:
+        return None
+    if sol.status == lp.ITERATION_LIMIT:
+        raise IterationLimitError(f"simplex iteration limit at grid m={m}")
+    if sol.status != lp.OPTIMAL:
+        # the weights are a probability vector and every objective is
+        # bounded, so any other status is a numerical failure
+        raise lp.SingularBasisError(
+            f"unexpected LP status {sol.status} at grid m={m}")
+    return sol
+
+
 def _solve_level(joint: ObservedJoint, budget: MomentBudget, m: int):
     """One grid level; returns (L, U, cert_min, cert_max) or None if the
     grid admits no feasible measure."""
@@ -251,16 +266,9 @@ def _solve_level(joint: ObservedJoint, budget: MomentBudget, m: int):
     rows = _constraint_rows(joint, budget.f, budget.g)
     results = []
     for sense in ("min", "max"):
-        sol = lp.solve(lp.LinearProgram(sense, oracle, rows))
-        if sol.status == lp.INFEASIBLE:
+        sol = _checked(lp.solve(lp.LinearProgram(sense, oracle, rows)), m)
+        if sol is None:
             return None
-        if sol.status == lp.ITERATION_LIMIT:
-            raise IterationLimitError(f"simplex iteration limit at grid m={m}")
-        if sol.status != lp.OPTIMAL:
-            # the weights are a probability vector and the objective is
-            # bounded, so any other status is a numerical failure
-            raise lp.SingularBasisError(
-                f"unexpected LP status {sol.status} at grid m={m}")
         results.append(sol)
     smin, smax = results
     return (smin.objective, smax.objective,
@@ -379,10 +387,8 @@ def minimal_budget(joint: ObservedJoint, which: str, other_value: float,
     value = None
     for m in _ladder((grid or GridSpec(16)).m, True, max_m):
         oracle = GridColumns(joint, m, objective=which)
-        sol = lp.solve(lp.LinearProgram("min", oracle, rows))
-        if sol.status == lp.ITERATION_LIMIT:
-            raise IterationLimitError(f"iteration limit at grid m={m}")
-        if sol.status == lp.OPTIMAL:
+        sol = _checked(lp.solve(lp.LinearProgram("min", oracle, rows)), m)
+        if sol is not None:
             if value is not None and abs(sol.objective - value) < refine_tol:
                 return sol.objective
             value = sol.objective

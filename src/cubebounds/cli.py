@@ -180,10 +180,10 @@ class _Analysis:
     k_mode: str | None           # "point" (k_min == k_max) | "range" | None
     k_min: float
     k_max: float
-    grid: GridSpec
-    refine: bool
-    refine_tol: float
-    max_m: int
+    grid: GridSpec | None        # the grid fields are None but for bounds
+    refine: bool | None
+    refine_tol: float | None
+    max_m: int | None
     published_rd: float | None
 
 
@@ -293,24 +293,26 @@ def _resolve(args) -> _Analysis:
     if k_min > k_max:
         raise CliError("k min exceeds k max")
 
-    # grid: see _grid for the order; the refine flag only enables, and
-    # max_m bounds refinement alone
-    gcfg = cfg.get("grid", {})
-    if not isinstance(gcfg, dict):
-        raise CliError(f"{origin}: grid must be an object")
-    _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
-    configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
-                    if "m" in gcfg else None)
-    grid = _grid(args.grid_m, configured_m)
-    refine = gcfg.get("refine", False)
-    if not isinstance(refine, bool):
-        raise CliError(f"{origin}: grid.refine: expected true or false, "
-                       f"got {refine!r}")
-    refine = args.refine or refine
-    refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
-    max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
-    if refine_tol <= 0 or (refine and max_m < grid.m):
-        raise CliError("refine_tol must be positive and max_m >= m")
+    # grid, which only bounds solves on: see _grid for the order; the
+    # refine flag only enables, and max_m bounds refinement alone
+    grid = refine = refine_tol = max_m = None
+    if args.command == "bounds":
+        gcfg = cfg.get("grid", {})
+        if not isinstance(gcfg, dict):
+            raise CliError(f"{origin}: grid must be an object")
+        _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
+        configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
+                        if "m" in gcfg else None)
+        grid = _grid(args.grid_m, configured_m)
+        refine = gcfg.get("refine", False)
+        if not isinstance(refine, bool):
+            raise CliError(f"{origin}: grid.refine: expected true or false, "
+                           f"got {refine!r}")
+        refine = args.refine or refine
+        refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
+        max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
+        if refine_tol <= 0 or (refine and max_m < grid.m):
+            raise CliError("refine_tol must be positive and max_m >= m")
 
     published = (_number(cfg["published_risk_difference"],
                          f"{origin}: published_risk_difference")
@@ -614,6 +616,9 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--g", type=float, help="prognosis moment budget")
     p.add_argument("--dx", type=_finite_float, help="propensity discrimination in [0,1]")
     p.add_argument("--dy", type=_finite_float, help="prognosis discrimination in [0,1]")
+
+
+def _add_grid_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grid-m", type=int, help=f"grid points per axis "
                    f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
 
@@ -628,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="identified interval for psi, "
                                       "optionally shifted to tau")
     _add_analysis_flags(p)
+    _add_grid_flag(p)
     p.add_argument("--k", type=_finite_float, help="known bias K")
     p.add_argument("--k-min", type=_finite_float, help="lower end of a K range")
     p.add_argument("--k-max", type=_finite_float, help="upper end of a K range")
@@ -639,15 +645,14 @@ def build_parser() -> argparse.ArgumentParser:
                                          "discrimination fractions")
     _add_analysis_flags(p)
     p.set_defaults(func=cmd_calibrate, render=_calibrate_text, k=None,
-                   k_min=None, k_max=None, refine=False)
+                   k_min=None, k_max=None)
 
     p = sub.add_parser("simulate", help="coverage experiment against a "
                                         "population spec")
     p.add_argument("spec", help="population spec JSON file")
     p.add_argument("--runs", type=int, default=10, help="number of runs")
     p.add_argument("--seed", type=int, help="override the spec seed")
-    p.add_argument("--grid-m", type=int, help=f"grid points per axis "
-                   f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
+    _add_grid_flag(p)
     p.set_defaults(func=cmd_simulate, render=_simulate_text)
 
     p = sub.add_parser("decompose", help="per-profile bias split and "

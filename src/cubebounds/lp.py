@@ -3,7 +3,9 @@
 Solves standard-form LPs with few rows and very many columns by revised
 simplex with on-demand column pricing.  Columns are supplied by an oracle
 (index -> cost and row coefficients) so the constraint matrix never needs
-to be materialized; a dense adapter covers small explicit problems.
+to be materialized; a dense adapter covers small explicit problems.  The
+simplex keeps its basis matrix and basic costs itself, so each pivot asks
+the oracle for one column and one cost.
 
 Conventions: variables are nonnegative weights; rows are "eq" or "le";
 "le" rows receive slack variables internally; rows whose slack cannot
@@ -139,7 +141,15 @@ class _Simplex:
     """One revised-simplex run under the lexicographic ratio test.
 
     Column ids: 0..n-1 structural, then one slack per "le" row in row
-    order, then artificials assigned at the phase-1 start.
+    order, then artificials assigned at the phase-1 start.  Slack and
+    artificial columns are the columns of one signed unit block, `units`,
+    over the active rows.
+
+    The run keeps its basis: `B` holds the basic columns over the active
+    rows, `binv` its inverse, `xb` the basic values and `cb` the basic
+    costs of the current phase.  A pivot writes the entering column into
+    `B` and its cost into `cb`, so it asks the oracle for at most one
+    column and one cost, and a refactorization inverts `B` as kept.
 
     Ratio-test ties are broken on the rows of B^-1 B_ref / d, where B_ref
     is the basis matrix at the start of each phase (after phase 1 deletes
@@ -165,76 +175,39 @@ class _Simplex:
         self.active = np.arange(self.k0)
         self.slack_rows = [i for i, rel in enumerate(self.rels) if rel == "le"]
         self.nslack = len(self.slack_rows)
-        self.art_rows: list[int] = []
-        self.art_signs: list[float] = []
         self.iterations = 0
         self.deleted: list[int] = []
-
-    # -- columns and costs ---------------------------------------------------
 
     def col(self, cid: int) -> np.ndarray:
         if cid < self.n:
             return self.oracle.columns(np.array([cid]), self.active)[:, 0]
-        v = np.zeros(len(self.active))
-        if cid < self.n + self.nslack:
-            row = self.slack_rows[cid - self.n]
-            sign = 1.0
-        else:
-            a = cid - self.n - self.nslack
-            row = self.art_rows[a]
-            sign = self.art_signs[a]
-        pos = np.nonzero(self.active == row)[0]
-        if pos.size:
-            v[pos[0]] = sign
-        return v
-
-    def cost_of(self, cid: int, phase: int) -> float:
-        if phase == 1:
-            return 1.0 if cid >= self.n + self.nslack else 0.0
-        if cid < self.n:
-            return self.sense * self.oracle.cost(cid)
-        return 0.0
-
-    def _slack_pos(self, cid: int) -> int | None:
-        """Active-row position of a slack column's unit entry."""
-        row = self.slack_rows[cid - self.n]
-        pos = np.nonzero(self.active == row)[0]
-        return int(pos[0]) if pos.size else None
+        return self.units[:, cid - self.n]
 
     # -- basis maintenance -----------------------------------------------------
 
     def start_basis(self) -> None:
-        basis = []
-        signs = np.ones(self.k0)
-        art_base = self.n + self.nslack
+        basis, art_rows = [], []
         for i, rel in enumerate(self.rels):
             if rel == "le" and self.rhs[i] >= 0:
                 basis.append(self.n + self.slack_rows.index(i))
             else:
-                # artificial with coefficient matching the rhs sign keeps
-                # the starting point nonnegative without flipping rows
-                self.art_rows.append(i)
-                self.art_signs.append(1.0 if self.rhs[i] >= 0 else -1.0)
-                signs[i] = self.art_signs[-1]
-                basis.append(art_base + len(self.art_rows) - 1)
+                basis.append(self.n + self.nslack + len(art_rows))
+                art_rows.append(i)
+        # artificials with coefficients matching the rhs signs keep the
+        # starting point nonnegative without flipping rows
+        signs = np.where(self.rhs >= 0, 1.0, -1.0)
+        self.units = np.zeros((self.k0, self.nslack + len(art_rows)))
+        self.units[self.slack_rows, np.arange(self.nslack)] = 1.0
+        self.units[art_rows, np.arange(self.nslack, self.units.shape[1])] = signs[art_rows]
         self.basis = basis
-        # the starting basis is a signed identity
-        self.binv = np.diag(signs)
+        # the starting basis is a signed identity, its own inverse
+        self.B = self.units[:, np.array(basis) - self.n]
+        self.binv = self.B.copy()
         self.xb = signs * self.rhs
 
-    def basis_matrix(self) -> np.ndarray:
-        basis = np.array(self.basis)
-        structural = basis < self.n
-        B = np.zeros((len(self.active), len(basis)))
-        B[:, structural] = self.oracle.columns(basis[structural], self.active)
-        for pos in np.nonzero(~structural)[0]:
-            B[:, pos] = self.col(int(basis[pos]))
-        return B
-
     def refactorize(self) -> None:
-        B = self.basis_matrix()
         try:
-            self.binv = np.linalg.inv(B)
+            self.binv = np.linalg.inv(self.B)
         except np.linalg.LinAlgError as exc:
             raise SingularBasisError("singular basis at refactorization") from exc
         if not np.all(np.isfinite(self.binv)):
@@ -242,7 +215,9 @@ class _Simplex:
         self.xb = self.binv @ self.rhs[self.active]
         self.pivots_since_refactor = 0
 
-    def pivot(self, enter: int, leave_pos: int, d: np.ndarray) -> None:
+    def pivot(self, enter: int, leave_pos: int, a: np.ndarray, d: np.ndarray) -> None:
+        """Swap column `enter`, with coefficients a and d = B^-1 a, into
+        the basis at leave_pos."""
         piv = d[leave_pos]
         if abs(piv) < PIVOT_TOL:
             raise SingularBasisError("vanishing pivot element")
@@ -253,6 +228,7 @@ class _Simplex:
         # eta update: subtract multiples of the pivot row from the others
         others = np.arange(len(self.xb)) != leave_pos
         self.binv[others, :] -= np.outer(d[others], self.binv[leave_pos, :])
+        self.B[:, leave_pos] = a
         self.basis[leave_pos] = enter
         self.iterations += 1
         self.pivots_since_refactor += 1
@@ -261,21 +237,17 @@ class _Simplex:
 
     # -- simplex iterations ------------------------------------------------------
 
-    def duals(self, phase: int) -> np.ndarray:
-        cb = np.array([self.cost_of(cid, phase) for cid in self.basis])
-        return cb @ self.binv
-
     def entering(self, phase: int) -> int | None:
-        y = self.duals(phase)
+        y = self.cb @ self.binv
         y_full = np.zeros(self.k0)
         y_full[self.active] = y
         cost_sign = 0.0 if phase == 1 else self.sense
         best_id, best_rc = self.oracle.price_min(y_full, self.active, cost_sign)
-        for t in range(self.nslack):
-            pos = self._slack_pos(self.n + t)
-            rc = -y[pos] if pos is not None else 0.0
-            if rc < best_rc:
-                best_id, best_rc = self.n + t, rc
+        if self.nslack:  # a slack costs nothing, so its reduced cost is -y_row
+            rc = -(y @ self.units[:, :self.nslack])
+            t = int(np.argmin(rc))
+            if rc[t] < best_rc:
+                best_id, best_rc = self.n + t, rc[t]
         return best_id if best_rc < -self.tol_opt else None
 
     def ratio_test(self, d: np.ndarray) -> int | None:
@@ -296,14 +268,22 @@ class _Simplex:
         return int(ties[0])
 
     def iterate(self, phase: int) -> str:
-        self.ref = self.basis_matrix()
+        self.ref = self.B.copy()
+        # phase 1 prices the artificials at 1, phase 2 the structural
+        # columns at their signed cost; artificials never enter again
+        if phase == 1:
+            self.cb = (np.array(self.basis) >= self.n + self.nslack).astype(float)
+        else:
+            self.cb = np.array([self.sense * self.oracle.cost(cid) if cid < self.n
+                                else 0.0 for cid in self.basis])
         while True:
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
             enter = self.entering(phase)
             if enter is None:
                 return OPTIMAL
-            d = self.binv @ self.col(enter)
+            a = self.col(enter)
+            d = self.binv @ a
             leave = self.ratio_test(d)
             if leave is None:
                 if phase == 1:
@@ -311,14 +291,17 @@ class _Simplex:
                     # unbounded direction can only be numerical noise
                     raise SingularBasisError("unbounded phase-1 direction")
                 return UNBOUNDED
-            self.pivot(enter, leave, d)
+            self.pivot(enter, leave, a, d)
+            self.cb[leave] = (self.sense * self.oracle.cost(enter)
+                              if phase == 2 and enter < self.n else 0.0)
 
     # -- phase 1 cleanup ---------------------------------------------------------
 
     def _drop_row(self, pos: int) -> None:
-        row = int(self.active[pos])
-        self.deleted.append(row)
+        self.deleted.append(int(self.active[pos]))
         self.active = np.delete(self.active, pos)
+        self.units = np.delete(self.units, pos, axis=0)
+        self.B = np.delete(np.delete(self.B, pos, axis=0), pos, axis=1)
         del self.basis[pos]
         self.refactorize()
 
@@ -332,15 +315,17 @@ class _Simplex:
             v = self.binv[pos, :]
             v_full = np.zeros(self.k0)
             v_full[self.active] = v
-            j, val = self.oracle.price_max_abs(v_full, self.active)
-            best_id, best_val = j, val
-            for t in range(self.nslack):
-                p = self._slack_pos(self.n + t)
-                if p is not None and abs(v[p]) > best_val and (self.n + t) not in self.basis:
-                    best_id, best_val = self.n + t, abs(v[p])
+            best_id, best_val = self.oracle.price_max_abs(v_full, self.active)
+            if self.nslack:
+                vals = np.abs(v @ self.units[:, :self.nslack])
+                # a basic slack cannot enter
+                vals[[cid - self.n for cid in self.basis if self.n <= cid < art_base]] = 0.0
+                t = int(np.argmax(vals))
+                if vals[t] > best_val:
+                    best_id, best_val = self.n + t, vals[t]
             if best_val > 1e-7 and best_id not in self.basis:
-                d = self.binv @ self.col(best_id)
-                self.pivot(best_id, pos, d)
+                a = self.col(best_id)
+                self.pivot(best_id, pos, a, self.binv @ a)
             else:
                 self._drop_row(pos)
 
@@ -353,8 +338,7 @@ class _Simplex:
         status = self.iterate(phase=1)
         if status == ITERATION_LIMIT:
             return self._abort(status)
-        cb1 = np.array([self.cost_of(cid, 1) for cid in self.basis])
-        phase1_obj = float(cb1 @ self.xb)
+        phase1_obj = float(self.cb @ self.xb)
         if phase1_obj > self.tol_feas:
             return LpSolution(INFEASIBLE, math.nan, (), (0.0,) * self.k0,
                               self.iterations, tuple(self.deleted))
@@ -374,11 +358,9 @@ class _Simplex:
         # round-off weights below zero go, so the objective and the
         # support are computed from the same weights
         self.xb = np.maximum(self.xb, 0.0)
-        cb = np.array([self.cost_of(cid, 2) for cid in self.basis])
-        internal_obj = float(cb @ self.xb)
-        y = cb @ self.binv
+        internal_obj = float(self.cb @ self.xb)
         duals = np.zeros(self.k0)
-        duals[self.active] = self.sense * y
+        duals[self.active] = self.sense * (self.cb @ self.binv)
         support = tuple(
             (cid, float(w)) for cid, w in zip(self.basis, self.xb)
             if cid < self.n and w > 0.0)

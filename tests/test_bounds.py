@@ -354,6 +354,17 @@ def test_minimal_budget_tiny_g_f(monkeypatch):
     assert max(iterations) < 200
 
 
+def test_minimal_budget_refuses_unexpected_lp_status(monkeypatch):
+    # a status other than optimal, infeasible or the iteration limit is a
+    # numerical failure, not a joint the grids cannot represent
+    def unbounded(program, **kw):
+        return lp.LpSolution(lp.UNBOUNDED, -np.inf, (), (0.0,) * 7, 1)
+
+    monkeypatch.setattr(lp, "solve", unbounded)
+    with pytest.raises(lp.SingularBasisError, match="unexpected LP status unbounded at grid m=16"):
+        minimal_budget(DRUG, "f", 0.25, grid=GridSpec(16))
+
+
 def test_minimal_budget_g_at_zero_f_is_zero():
     assert minimal_budget(VACCINE, "g", 0.0) == 0.0
 

@@ -314,6 +314,26 @@ def test_calibrate_requires_discrimination_mode(capsys):
     assert "discrimination" in err
 
 
+def test_calibrate_ignores_grid_settings(capsys, monkeypatch, tmp_path):
+    # calibrate solves nothing, so a grid it would refuse does not matter
+    golden = (GOLDEN / "calibrate_golf.txt").read_bytes()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "table": str(FIXTURES / "golf.tbl"), "budget": {"d_x": 0.5, "d_y": 0.5},
+        "grid": {"m": 16, "refine": True, "max_m": 8}}))
+    monkeypatch.setenv(cli.ENV_GRID, "0")
+    for argv in (("--table", str(FIXTURES / "golf.tbl"), "--dx", "0.5", "--dy", "0.5"),
+                 ("--config", str(cfg))):
+        code, out, err = run(capsys, "calibrate", *argv)
+        assert code == 0, err
+        assert out.encode() == golden
+    # and it takes no grid flag
+    code, out, err = run(capsys, "calibrate", "--table", str(FIXTURES / "golf.tbl"),
+                         "--dx", "0.5", "--dy", "0.5", "--grid-m", "64")
+    assert code == 1
+    assert "--grid-m" in err
+
+
 # -- golden reports --------------------------------------------------------------
 
 GOLF_DISC = ("bounds", "--table", FIXTURES / "golf.tbl", "--dx", "0.5",

@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 from cubebounds import lp
+from cubebounds.bounds import GridColumns, _constraint_rows
+from cubebounds.core import ObservedJoint
 
 from helpers import bfs_optima, random_lp
 
@@ -195,3 +197,135 @@ def test_linear_program_validation():
         lp.LinearProgram("min", oracle, (("ge", 1.0),))
     with pytest.raises(ValueError):
         lp.LinearProgram("min", oracle, ())
+
+
+# -- the kept basis --------------------------------------------------------------
+
+GOLF = ObservedJoint(p11=0.05, p10=0.45, p01=0.005, p00=0.495)
+
+
+def _kept_basis_programs():
+    """Dense and grid LPs; among them they delete redundant rows, pivot
+    artificials out after phase 1 and start from negative right-hand
+    sides."""
+    rng = np.random.default_rng(31)
+    programs = []
+    for _ in range(8):
+        costs, matrix, rows = random_lp(rng)
+        for sense in ("min", "max"):
+            programs.append(lp.LinearProgram(sense, lp.DenseColumns(costs, matrix), rows))
+    programs.append(lp.LinearProgram(
+        "min", lp.DenseColumns([1.0, 3.0, 2.0], [[1, 1, 1], [2, 2, 2], [1, 0, 2]]),
+        (("eq", 1.0), ("eq", 2.0), ("le", 1.5))))
+    programs.append(lp.LinearProgram(
+        "min", lp.DenseColumns([1.0, 2.0], [[-1, -1], [1, 0]]),
+        (("eq", -1.0), ("le", 1.0))))
+    # phase 1 ends with a zero-level artificial that a structural column,
+    # and in the second LP a slack, pivots out
+    programs.append(lp.LinearProgram(
+        "min", lp.DenseColumns([-1.0, 0.0, 1.0, 0.0],
+                               [[1, 1, 1, 1], [2, -2, -2, -1], [1, 0, 2, 2]]),
+        (("eq", 1.0), ("eq", -2.0), ("eq", 0.0))))
+    programs.append(lp.LinearProgram(
+        "min", lp.DenseColumns([2.0, -3.0, -3.0], [[1, 1, 1], [2, 2, 2], [-1, -2, 1]]),
+        (("eq", 1.0), ("le", 2.0), ("le", 1.0))))
+    for objective, f, g in (("psi", 0.125, 0.03), ("f", 1.0, 0.03), ("g", 0.125, 1.0)):
+        oracle = GridColumns(GOLF, 50, objective)
+        for sense in ("min", "max") if objective == "psi" else ("min",):
+            programs.append(lp.LinearProgram(sense, oracle, _constraint_rows(GOLF, f, g)))
+    return programs
+
+
+def _fresh_basis(simplex, phase):
+    """The basis matrix and basic costs rebuilt from simplex.basis alone:
+    one oracle.columns fetch for the structural columns and a signed unit
+    column for each slack and artificial."""
+    n, nslack, active = simplex.n, simplex.nslack, list(simplex.active)
+    art_rows = [i for i, (rel, b) in enumerate(zip(simplex.rels, simplex.rhs))
+                if not (rel == "le" and b >= 0)]
+    basis = np.array(simplex.basis)
+    structural = basis < n
+    B = np.zeros((len(active), len(basis)))
+    B[:, structural] = simplex.oracle.columns(basis[structural], simplex.active)
+    for pos in np.nonzero(~structural)[0]:
+        cid = int(basis[pos]) - n
+        if cid < nslack:  # a slack's coefficient is +1
+            row, sign = simplex.slack_rows[cid], 1.0
+        else:  # an artificial's has the sign of its row's rhs
+            row = art_rows[cid - nslack]
+            sign = 1.0 if simplex.rhs[row] >= 0 else -1.0
+        if row in active:
+            B[active.index(row), pos] = sign
+    if phase == 1:
+        cb = [1.0 if cid >= n + nslack else 0.0 for cid in simplex.basis]
+    else:
+        cb = [simplex.sense * simplex.oracle.cost(cid) if cid < n else 0.0
+              for cid in simplex.basis]
+    return B, np.array(cb)
+
+
+class _CheckedSimplex(lp._Simplex):
+    """Compares the kept basis with a fresh build before every pricing
+    pass, and records the phases it saw."""
+
+    def entering(self, phase):
+        B, cb = _fresh_basis(self, phase)
+        assert self.B.shape == B.shape and self.B.tobytes() == B.tobytes()
+        assert self.cb.tobytes() == cb.tobytes()
+        self.phases = getattr(self, "phases", set()) | {phase}
+        return super().entering(phase)
+
+    def purge_artificials(self):
+        before = self.iterations
+        super().purge_artificials()
+        self.purge_pivots = self.iterations - before
+
+
+def test_kept_basis_matches_fresh_build(monkeypatch):
+    # a small refactorization period makes every run cross it several times
+    monkeypatch.setattr(lp, "REFACTOR_EVERY", 3)
+    crossed = deleted = purged = both_phases = 0
+    for program in _kept_basis_programs():
+        simplex = _CheckedSimplex(program, 1e-9, 1e-9, 20000)
+        sol = simplex.run()
+        assert sol == lp.solve(program)
+        assert sol.status == lp.OPTIMAL
+        B, cb = _fresh_basis(simplex, 2)
+        assert simplex.B.tobytes() == B.tobytes()
+        assert simplex.cb.tobytes() == cb.tobytes()
+        crossed += sol.iterations > lp.REFACTOR_EVERY
+        deleted += bool(sol.deleted_rows)
+        purged += simplex.purge_pivots > 0
+        both_phases += simplex.phases == {1, 2}
+    assert crossed >= 10 and deleted >= 3 and purged >= 2 and both_phases >= 10
+
+
+class _CountingOracle:
+    """Passes every call through to an oracle and counts cost and columns."""
+
+    def __init__(self, inner):
+        self.inner, self.costs, self.columns_calls = inner, 0, 0
+        self.n = inner.n
+
+    def cost(self, j):
+        self.costs += 1
+        return self.inner.cost(j)
+
+    def columns(self, js, rows):
+        self.columns_calls += 1
+        return self.inner.columns(js, rows)
+
+    def price_min(self, y, rows, cost_sign):
+        return self.inner.price_min(y, rows, cost_sign)
+
+    def price_max_abs(self, v, rows):
+        return self.inner.price_max_abs(v, rows)
+
+
+def test_one_cost_and_one_column_per_pivot():
+    for program in _kept_basis_programs():
+        oracle = _CountingOracle(program.oracle)
+        sol = lp.solve(lp.LinearProgram(program.sense, oracle, program.rows))
+        assert sol == lp.solve(program)
+        assert oracle.costs <= sol.iterations + len(program.rows)
+        assert oracle.columns_calls <= sol.iterations
