@@ -94,7 +94,9 @@ class GridColumns:
     Column j encodes grid indices (j // m^2, (j // m) % m, j % m) for
     (pi, r0, r1).  Rows follow the fixed order above.  The objective is
     selectable so the same machinery serves the psi bounds and the
-    minimal-budget diagnostics.
+    minimal-budget diagnostics.  The pricing methods write into scratch
+    planes the instance owns, so one instance serves one pricing call at a
+    time: concurrent callers each need their own.
     """
 
     def __init__(self, joint: ObservedJoint, m: int, objective: str = "psi"):
@@ -105,8 +107,15 @@ class GridColumns:
         self.objective = objective
         self.axis = GridSpec(m).axis
         self._pi = self.axis[:, None]  # the y-independent planes of the pricing score
-        self._mix0 = (1 - self._pi) * self.axis[None, :]  # the r0 term of the outcome mean
+        self._pi0 = 1 - self._pi
+        self._f_row = (self._pi - joint.px1) ** 2  # the f row's coefficient
+        self._mix0 = self._pi0 * self.axis[None, :]  # the r0 term of the outcome mean
         self._vbase = (self._mix0 - joint.py1) * (m / self._pi)
+        self._planes = np.empty((4, m, m))  # scratch: r1 index, P, score, temporary
+        ends = [0, m - 1]  # the corners of the (r0, r1) square
+        self._corner_r0 = self.axis[ends]
+        self._corner_r1 = self._corner_r0[:, None, None]
+        self._corner_mix0 = self._mix0[:, ends]
 
     @property
     def n(self) -> int:
@@ -143,45 +152,60 @@ class GridColumns:
         return self._row_values(5, pi, r0, r1)
 
     def _coefficients(self, y, rows, cost_sign):
-        """(P, L, c5) with score cost_sign * c - y . A = P + L * r1 + c5 * (pi
-        * r1 + (1 - pi) * r0 - py1)**2 at fixed (pi, r0): P is the (m, m)
-        (pi, r0) plane, L an (m, 1) column and c5 = cost_sign * [objective g]
-        - y5 a scalar, so the r1 curvature c5 * pi**2 has the sign of c5."""
+        """(a, b, L, c5) with score cost_sign * c - y . A = a + b * r0 + L * r1
+        + c5 * (pi * r1 + (1 - pi) * r0 - py1)**2: a, b and L are (m, 1)
+        columns over pi and c5 = cost_sign * [objective g] - y5 a scalar, so
+        the curvature in (r0, r1) has the sign of c5.  The r1-free part P =
+        a + b * r0 is built by the caller: `_plane` on the (m, m) paths, on
+        the 4 corners only when price_min's score is concave."""
         w = np.zeros(7)
         w[rows] = y[rows]
         psi, f, g = (cost_sign * (self.objective == name) for name in ("psi", "f", "g"))
-        pi, r0 = self._pi, self.axis[None, :]
-        # the r1-free part of the score is affine in r0
-        P = (-w[2] * (1 - pi) - w[3] * pi + (f - w[4]) * (pi - self.joint.px1) ** 2 - w[6]
-             + ((w[2] - w[0]) * (1 - pi) - psi) * r0)
-        return P, (w[3] - w[1]) * pi + psi, g - w[5]
+        pi, pi0 = self._pi, self._pi0
+        a = -w[2] * pi0 - w[3] * pi + (f - w[4]) * self._f_row - w[6]
+        return a, (w[2] - w[0]) * pi0 - psi, (w[3] - w[1]) * pi + psi, g - w[5]
+
+    def _plane(self, a, b):
+        """P = a + b * r0 on every (pi, r0), in scratch plane 1."""
+        P = np.multiply(b, self.axis, out=self._planes[1])
+        return np.add(a, P, out=P)
 
     def _vertex(self, L, c5):
-        """(m, m) r1 index nearest the vertex; fmax/fmin drop a NaN vertex
-        (c5 = L = 0) to index 0 and an infinite one (c5 = 0 or tiny) to an axis end."""
+        """(m, m) r1 index nearest the vertex, in scratch plane 0; fmax/fmin
+        drop a NaN vertex (c5 = L = 0) to index 0 and an infinite one (c5 = 0
+        or tiny) to an axis end."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             shift = -L / (2 * c5 * self._pi ** 2) * self.m - 0.5
-        return np.rint(np.fmin(np.fmax(shift - self._vbase, 0), self.m - 1))
+        k = np.subtract(shift, self._vbase, out=self._planes[0])
+        np.fmax(k, 0, out=k)
+        np.fmin(k, self.m - 1, out=k)
+        return np.rint(k, out=k)
 
-    def _score(self, P, L, c5, r1):
-        """The score at r1, a scalar or an (m, m) plane, on every (pi, r0).
+    def _axis_at(self, k):
+        """axis[k] on an (m, m) index plane, in scratch plane 3: (k + 0.5) / m
+        is axis[k] to the last bit."""
+        r1 = np.add(k, 0.5, out=self._planes[3])
+        return np.divide(r1, self.m, out=r1)
 
-        The g term is the g row's residual squared, summed in the order of
-        `_row_values` to match `columns` to the last bit: expanded in r1,
-        terms of size |c5| cancel, and a large phase-1 dual near the g
-        row's zero set would leave no correct digit."""
-        return P + L * r1 + c5 * (self._pi * r1 + self._mix0 - self.joint.py1) ** 2
+    def _score(self, P, L, c5, r1, mix0, out):
+        """The score P + L * r1 + c5 * (pi * r1 + mix0 - py1)**2 into out[0],
+        with out[1] as a temporary; r1 is a scalar, an (m, m) plane (it may
+        be out[1]) or an array that broadcasts with P and mix0.
 
-    def _least(self, planes):
-        """Column and value of the least score over (r1 index, scores)
-        planes, the index a scalar or an (m, m) plane; the earlier plane
-        wins ties.  Flat index i is m * p + r, so the column is m * i + k."""
-        best = None
-        for k, scores in planes:
-            i = int(np.argmin(scores))
-            if best is None or scores.flat[i] < best[1]:
-                best = self.m * i + int(k.flat[i] if np.ndim(k) else k), float(scores.flat[i])
-        return best
+        Every step is the ufunc that expression applies, in its order, so
+        the scores match `columns` to the last bit.  The g term is the
+        g row's residual squared, summed in the order of `_row_values`:
+        expanded in r1, terms of size |c5| cancel, and a large phase-1 dual
+        near the g row's zero set would leave no correct digit."""
+        s, t = out
+        np.multiply(L, r1, out=s)
+        np.add(P, s, out=s)
+        np.multiply(self._pi, r1, out=t)
+        np.add(t, mix0, out=t)
+        np.subtract(t, self.joint.py1, out=t)
+        np.square(t, out=t)
+        np.multiply(c5, t, out=t)
+        return np.add(s, t, out=s)
 
     # -- oracle protocol -------------------------------------------------------
 
@@ -195,21 +219,39 @@ class GridColumns:
         return np.stack([self._row_values(row, pi, r0, r1) for row in rows])
 
     def price_min(self, y, rows, cost_sign):
-        P, L, c5 = self._coefficients(y, rows, cost_sign)
+        a, b, L, c5 = self._coefficients(y, rows, cost_sign)
+        m = self.m
         if c5 > 0:  # convex in r1: the least score is nearest the vertex
-            k = self._vertex(L, c5)  # (k + 0.5) / m is axis[k] to the last bit
-            return self._least([(k, self._score(P, L, c5, (k + 0.5) / self.m))])
-        # concave or linear in r1: the least score is at an axis end
-        return self._least([(k, self._score(P, L, c5, self.axis[k])) for k in (0, self.m - 1)])
+            k = self._vertex(L, c5)
+            scores = self._score(self._plane(a, b), L, c5, self._axis_at(k), self._mix0,
+                                 self._planes[2:])
+            i = int(np.argmin(scores))
+            return m * i + int(k.flat[i]), float(scores.flat[i])
+        # Concave (or linear) in (r0, r1) at each pi: a concave function on
+        # the convex hull of the grid square takes its least value at a
+        # vertex of that hull, and the 4 vertices are grid points.  Scores
+        # are laid out (r1 end, pi, r0 end), so a tie goes to r1 end 0, then
+        # to the least pi, then to r0 end 0.
+        scores = self._score(a + b * self._corner_r0, L, c5, self._corner_r1,
+                             self._corner_mix0, np.empty((2, 2, m, 2)))
+        i = int(np.argmin(scores))
+        c, p, q = i // (2 * m), i // 2 % m, i % 2  # r1 end, pi, r0 end
+        return m * (m * p + (m - 1) * q) + (m - 1) * c, float(scores.flat[i])
 
     def price_max_abs(self, v, rows):
-        # the largest |score| is at an axis end or nearest the vertex
-        P, L, c5 = self._coefficients(v, rows, 0.0)
-        k, m = self._vertex(L, c5), self.m
-        scores = np.abs(np.stack([self._score(P, L, c5, r1) for r1 in
-                                  (self.axis[0], (k + 0.5) / m, self.axis[m - 1])]))
-        c, i = divmod(int(np.argmax(scores)), m * m)
-        return m * i + int((0, k.flat[i], m - 1)[c]), float(scores[c].flat[i])
+        # the largest |score| is at an axis end or nearest the vertex; a
+        # running strict arg-max keeps the earliest candidate on ties
+        a, b, L, c5 = self._coefficients(v, rows, 0.0)
+        m = self.m
+        k, P, scores = self._vertex(L, c5), self._plane(a, b), self._planes[2]
+        best = None
+        for end in (0, None, m - 1):
+            r1 = self._axis_at(k) if end is None else self.axis[end]
+            np.abs(self._score(P, L, c5, r1, self._mix0, self._planes[2:]), out=scores)
+            i = int(np.argmax(scores))
+            if best is None or scores.flat[i] > best[1]:
+                best = m * i + int(k.flat[i] if end is None else end), float(scores.flat[i])
+        return best
 
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))

@@ -178,9 +178,9 @@ class _Analysis:
     d_x: float | None
     d_y: float | None
     k_mode: str | None           # "point" (k_min == k_max) | "range" | None
-    k_min: float
-    k_max: float
-    grid: GridSpec | None        # the grid fields are None but for bounds
+    k_min: float                 # K, the grid and published_rd are read
+    k_max: float                 # for bounds alone
+    grid: GridSpec | None
     refine: bool | None
     refine_tol: float | None
     max_m: int | None
@@ -198,6 +198,50 @@ def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
         except ValueError:
             raise CliError(f"{ENV_GRID}: expected an integer, got {raw!r}")
     return GridSpec(m)
+
+
+def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, float, float]:
+    """(k_mode, k_min, k_max) from the flags or the config: at most one
+    of a point, a range and a profiles file."""
+    k_given = [name for name, flag in (("--k", args.k is not None),
+                                       ("--k-min/--k-max",
+                                        args.k_min is not None or args.k_max is not None),
+                                       ("config k", "k" in cfg)) if flag]
+    if len(k_given) > 1:
+        raise CliError(f"multiple K specifications: {', '.join(k_given)}")
+    k_mode = None
+    k_min, k_max = -math.inf, math.inf
+    if args.k is not None:
+        k_mode, k_min = "point", args.k
+    elif args.k_min is not None or args.k_max is not None:
+        k_mode = "range"
+        k_min = -math.inf if args.k_min is None else args.k_min
+        k_max = math.inf if args.k_max is None else args.k_max
+    elif "k" in cfg:
+        spec = cfg["k"]
+        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+            k_mode, k_min = "point", _number(spec, f"{origin}: k")
+        elif isinstance(spec, dict) and "profiles" in spec:
+            _check_keys(spec, {"profiles"}, f"{origin}: k")
+            profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
+            k_mode, k_min = "point", population_k(profiles, weights)
+        elif isinstance(spec, dict):
+            _check_keys(spec, {"min", "max"}, f"{origin}: k")
+            if not spec:
+                raise CliError(f"{origin}: k range needs min and/or max")
+            k_mode = "range"
+            if "min" in spec:
+                k_min = _number(spec["min"], f"{origin}: k.min")
+            if "max" in spec:
+                k_max = _number(spec["max"], f"{origin}: k.max")
+        else:
+            raise CliError(f"{origin}: k must be a number, a min/max object, "
+                           f"or a profiles object")
+    if k_mode == "point":
+        k_max = k_min
+    if k_min > k_max:
+        raise CliError("k min exceeds k max")
+    return k_mode, k_min, k_max
 
 
 def _resolve(args) -> _Analysis:
@@ -253,50 +297,13 @@ def _resolve(args) -> _Analysis:
             raise CliError(f"{origin}: budget needs exactly the keys "
                            f"{{f, g}} or {{d_x, d_y}}")
 
-    # K: at most one of point, range, profiles
-    k_given = [name for name, flag in (("--k", args.k is not None),
-                                       ("--k-min/--k-max",
-                                        args.k_min is not None or args.k_max is not None),
-                                       ("config k", "k" in cfg)) if flag]
-    if len(k_given) > 1:
-        raise CliError(f"multiple K specifications: {', '.join(k_given)}")
-    k_mode = None
-    k_min, k_max = -math.inf, math.inf
-    if args.k is not None:
-        k_mode, k_min = "point", args.k
-    elif args.k_min is not None or args.k_max is not None:
-        k_mode = "range"
-        k_min = -math.inf if args.k_min is None else args.k_min
-        k_max = math.inf if args.k_max is None else args.k_max
-    elif "k" in cfg:
-        spec = cfg["k"]
-        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            k_mode, k_min = "point", _number(spec, f"{origin}: k")
-        elif isinstance(spec, dict) and "profiles" in spec:
-            _check_keys(spec, {"profiles"}, f"{origin}: k")
-            profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
-            k_mode, k_min = "point", population_k(profiles, weights)
-        elif isinstance(spec, dict):
-            _check_keys(spec, {"min", "max"}, f"{origin}: k")
-            if not spec:
-                raise CliError(f"{origin}: k range needs min and/or max")
-            k_mode = "range"
-            if "min" in spec:
-                k_min = _number(spec["min"], f"{origin}: k.min")
-            if "max" in spec:
-                k_max = _number(spec["max"], f"{origin}: k.max")
-        else:
-            raise CliError(f"{origin}: k must be a number, a min/max object, "
-                           f"or a profiles object")
-    if k_mode == "point":
-        k_max = k_min
-    if k_min > k_max:
-        raise CliError("k min exceeds k max")
-
-    # grid, which only bounds solves on: see _grid for the order; the
-    # refine flag only enables, and max_m bounds refinement alone
-    grid = refine = refine_tol = max_m = None
+    # K, the grid and the published contrast, which only bounds reads: see
+    # _grid for the order of the grid; the refine flag only enables, and
+    # max_m bounds refinement alone
+    k_mode, k_min, k_max = None, -math.inf, math.inf
+    grid = refine = refine_tol = max_m = published = None
     if args.command == "bounds":
+        k_mode, k_min, k_max = _k_spec(args, cfg, origin, cfg_dir)
         gcfg = cfg.get("grid", {})
         if not isinstance(gcfg, dict):
             raise CliError(f"{origin}: grid must be an object")
@@ -313,10 +320,10 @@ def _resolve(args) -> _Analysis:
         max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
         if refine_tol <= 0 or (refine and max_m < grid.m):
             raise CliError("refine_tol must be positive and max_m >= m")
+        if "published_risk_difference" in cfg:
+            published = _number(cfg["published_risk_difference"],
+                                f"{origin}: published_risk_difference")
 
-    published = (_number(cfg["published_risk_difference"],
-                         f"{origin}: published_risk_difference")
-                 if "published_risk_difference" in cfg else None)
     if budget_mode == "discrimination":
         budget = calibrate_budget(joint, d_x, d_y)
     return _Analysis(table=table, joint=joint, budget_mode=budget_mode,
@@ -644,8 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="moment budgets from "
                                          "discrimination fractions")
     _add_analysis_flags(p)
-    p.set_defaults(func=cmd_calibrate, render=_calibrate_text, k=None,
-                   k_min=None, k_max=None)
+    p.set_defaults(func=cmd_calibrate, render=_calibrate_text)
 
     p = sub.add_parser("simulate", help="coverage experiment against a "
                                         "population spec")

@@ -87,10 +87,15 @@ def test_oracle_cost_is_prognosis_contrast():
 def test_pricing_matches_dense_columns():
     rng = np.random.default_rng(5)
     for objective in ("psi", "f", "g"):
-        for m in (2, 4, 7, 33):
+        for m in (2, 4, 7, 33, 64):
             oracle = GridColumns(DRUG, m, objective=objective)
-            costs = np.array([oracle.cost(j) for j in range(oracle.n)])
-            matrix = oracle.columns(np.arange(oracle.n), np.arange(7))
+            # the cost vector in one pass (262 144 cost() calls at m = 64
+            # take seconds), tied to cost() on a sample of columns
+            js = np.arange(oracle.n)
+            costs = oracle._cost_values(*oracle._decode(js))
+            for j in js[::max(1, oracle.n // 50)]:
+                assert costs[j] == oracle.cost(j)
+            matrix = oracle.columns(js, np.arange(7))
             dense = lp.DenseColumns(costs, matrix)
             for trial in range(20):
                 y = rng.normal(size=7)
@@ -166,29 +171,41 @@ def test_pricing_matches_dense_columns():
        rows=st.sets(st.integers(0, 6), min_size=1).map(sorted),
        sign=st.sampled_from([0.0, 1.0, -1.0]),
        y=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
+       y_again=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
        y5=st.sampled_from([0.0, 1e-320, -1e-320, 1.0, -1.0, 1e9, -1e9]))
 def test_pricing_matches_dense_columns_property(cells, m, objective, rows,
-                                                sign, y, y5):
+                                                sign, y, y_again, y5):
     joint = normalize(ContingencyTable(*cells))
     oracle = GridColumns(joint, m, objective=objective)
     costs = np.array([oracle.cost(j) for j in range(oracle.n)])
     matrix = oracle.columns(np.arange(oracle.n), np.arange(7))
     dense = lp.DenseColumns(costs, matrix)
-    y = np.array(y)
-    y[5] = y5
     rows = np.array(rows)
 
-    def tol(j):
+    def tol(y, j):
         return 1e-12 * max(1.0, np.abs(y[rows] * matrix[rows, j]).sum())
 
-    jg, vg = oracle.price_min(y, rows, sign)
-    jd, vd = dense.price_min(y, rows, sign)
-    assert vg == pytest.approx(vd, abs=tol(jg))
-    assert sign * costs[jg] - y[rows] @ matrix[rows, jg] == pytest.approx(vg, abs=tol(jg))
+    def check_min(y):
+        jg, vg = oracle.price_min(y, rows, sign)
+        jd, vd = dense.price_min(y, rows, sign)
+        assert vg == pytest.approx(vd, abs=tol(y, jg))
+        assert sign * costs[jg] - y[rows] @ matrix[rows, jg] == pytest.approx(vg, abs=tol(y, jg))
+        c5 = sign * (objective == "g") - (y[5] if 5 in rows else 0.0)
+        if c5 <= 0:  # concave in (r0, r1): a corner of the grid square
+            assert {(jg // m) % m, jg % m} <= {0, m - 1}
+
+    # the scratch planes are reused from call to call: price on one oracle
+    # with fresh duals and the other curvature sign after price_max_abs
+    y = np.array(y)
+    y[5] = y5
+    check_min(y)
     jg, vg = oracle.price_max_abs(y, rows)
     jd, vd = dense.price_max_abs(y, rows)
-    assert vg == pytest.approx(vd, abs=tol(jg))
-    assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=tol(jg))
+    assert vg == pytest.approx(vd, abs=tol(y, jg))
+    assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=tol(y, jg))
+    y = np.array(y_again)
+    y[5] = -y5
+    check_min(y)
 
 
 # -- the three study tables ----------------------------------------------------

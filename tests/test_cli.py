@@ -334,6 +334,30 @@ def test_calibrate_ignores_grid_settings(capsys, monkeypatch, tmp_path):
     assert "--grid-m" in err
 
 
+@pytest.mark.parametrize("extra, bounds_error", [
+    ({"k": {"min": 1, "max": 0}}, "k min exceeds k max"),
+    ({"published_risk_difference": "x"},
+     "published_risk_difference: expected a finite number"),
+    ({"k": {"profiles": "missing.csv"}}, None),
+])
+def test_calibrate_ignores_k_and_published_fields(capsys, tmp_path, extra,
+                                                  bounds_error):
+    # calibrate reads neither K nor the published contrast, so fields that
+    # bounds refuses do not matter to it
+    golden = (GOLDEN / "calibrate_golf.txt").read_bytes()
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "table": str(FIXTURES / "golf.tbl"), "budget": {"d_x": 0.5, "d_y": 0.5},
+        **extra}))
+    code, out, err = run(capsys, "calibrate", "--config", str(cfg))
+    assert code == 0, err
+    assert out.encode() == golden
+    if bounds_error is not None:
+        code, out, err = run(capsys, "bounds", "--config", str(cfg), "--grid-m", "8")
+        assert code == 1
+        assert bounds_error in err
+
+
 # -- golden reports --------------------------------------------------------------
 
 GOLF_DISC = ("bounds", "--table", FIXTURES / "golf.tbl", "--dx", "0.5",
