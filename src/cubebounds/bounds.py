@@ -67,10 +67,6 @@ class GridSpec:
     def axis(self) -> np.ndarray:
         return (np.arange(1, self.m + 1) - 0.5) / self.m
 
-    @property
-    def columns(self) -> int:
-        return self.m ** 3
-
 
 @dataclass(frozen=True)
 class BoundsRequest:
@@ -94,9 +90,9 @@ class GridColumns:
     Column j encodes grid indices (j // m^2, (j // m) % m, j % m) for
     (pi, r0, r1).  Rows follow the fixed order above.  The objective is
     selectable so the same machinery serves the psi bounds and the
-    minimal-budget diagnostics.  The pricing methods write into scratch
-    planes the instance owns, so one instance serves one pricing call at a
-    time: concurrent callers each need their own.
+    minimal-budget diagnostics.  Pricing writes into scratch planes the
+    instance owns, so one instance serves one pricing call at a time:
+    concurrent callers each need their own.
     """
 
     def __init__(self, joint: ObservedJoint, m: int, objective: str = "psi"):
@@ -171,9 +167,10 @@ class GridColumns:
         return np.add(a, P, out=P)
 
     def _vertex(self, L, c5):
-        """(m, m) r1 index nearest the vertex, in scratch plane 0; fmax/fmin
-        drop a NaN vertex (c5 = L = 0) to index 0 and an infinite one (c5 = 0
-        or tiny) to an axis end."""
+        """(m, m) r1 index nearest the vertex of price_min's convex score
+        (c5 > 0), in scratch plane 0; fmax/fmin drop a NaN vertex (L = 0 with
+        2 * c5 * pi**2 underflowing to 0, as for c5 = 1e-320) to index 0 and
+        an infinite one (a tiny c5) to an axis end."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             shift = -L / (2 * c5 * self._pi ** 2) * self.m - 0.5
         k = np.subtract(shift, self._vbase, out=self._planes[0])
@@ -237,21 +234,6 @@ class GridColumns:
         i = int(np.argmin(scores))
         c, p, q = i // (2 * m), i // 2 % m, i % 2  # r1 end, pi, r0 end
         return m * (m * p + (m - 1) * q) + (m - 1) * c, float(scores.flat[i])
-
-    def price_max_abs(self, v, rows):
-        # the largest |score| is at an axis end or nearest the vertex; a
-        # running strict arg-max keeps the earliest candidate on ties
-        a, b, L, c5 = self._coefficients(v, rows, 0.0)
-        m = self.m
-        k, P, scores = self._vertex(L, c5), self._plane(a, b), self._planes[2]
-        best = None
-        for end in (0, None, m - 1):
-            r1 = self._axis_at(k) if end is None else self.axis[end]
-            np.abs(self._score(P, L, c5, r1, self._mix0, self._planes[2:]), out=scores)
-            i = int(np.argmax(scores))
-            if best is None or scores.flat[i] > best[1]:
-                best = m * i + int(k.flat[i] if end is None else end), float(scores.flat[i])
-        return best
 
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))

@@ -318,8 +318,6 @@ def _resolve(args) -> _Analysis:
         refine = args.refine or refine
         refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
         max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
-        if refine_tol <= 0 or (refine and max_m < grid.m):
-            raise CliError("refine_tol must be positive and max_m >= m")
         if "published_risk_difference" in cfg:
             published = _number(cfg["published_risk_difference"],
                                 f"{origin}: published_risk_difference")

@@ -73,9 +73,6 @@ class ObservedJoint:
     def px0(self) -> float:
         return self.p01 + self.p00
 
-    def has_zero_cell(self, tol: float = 0.0) -> bool:
-        return min(self.p11, self.p10, self.p01, self.p00) <= tol
-
 
 @dataclass(frozen=True)
 class MomentBudget:

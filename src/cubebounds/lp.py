@@ -41,9 +41,11 @@ class SingularBasisError(RuntimeError):
 class ColumnOracle(Protocol):
     """Read-only view of the columns of an LP, indexed 0..n-1.
 
-    Implementations must be pure functions of the index so that pricing
-    passes can run concurrently and repeatably.  ``rows`` arguments are
-    arrays of original row indices and the dual vectors ``y``/``v`` stay
+    Four members: the column count ``n``, ``cost``, ``columns`` and
+    ``price_min``.  Costs and columns depend on the index alone, so
+    repeated calls agree; an oracle may price in scratch memory it owns,
+    so one oracle serves one pricing call at a time.  ``rows`` arguments
+    are arrays of original row indices and the dual vector ``y`` stays
     indexed by original row number; the solver may delete redundant rows,
     so oracles must restrict to the subset they are given.
     """
@@ -63,10 +65,6 @@ class ColumnOracle(Protocol):
         """Minimize the reduced cost cost_sign*c_j - y . A_j over all j;
         returns (argmin, min value).  cost_sign is 0 during phase 1 and
         +/-1 in phase 2 depending on the objective sense."""
-        ...
-
-    def price_max_abs(self, v: np.ndarray, rows: np.ndarray) -> tuple[int, float]:
-        """Index maximizing |v . A_j| and that absolute value."""
         ...
 
 
@@ -101,12 +99,6 @@ class DenseColumns:
         rc = self._reduced(y, rows, cost_sign)
         j = int(np.argmin(rc))
         return j, float(rc[j])
-
-    def price_max_abs(self, v, rows):
-        rows = np.asarray(rows)
-        vals = np.abs(v[rows] @ self._matrix[rows])
-        j = int(np.argmax(vals))
-        return j, float(vals[j])
 
 
 @dataclass(frozen=True)
@@ -237,17 +229,26 @@ class _Simplex:
 
     # -- simplex iterations ------------------------------------------------------
 
-    def entering(self, phase: int) -> int | None:
-        y = self.cb @ self.binv
+    def least_reduced_cost(self, y: np.ndarray, cost_sign: float) -> tuple[int, float]:
+        """Column id and value of the least reduced cost cost_sign*c_j - y . a_j
+        over the structural columns and the nonbasic slacks; y is indexed
+        by active row.  A structural column wins a tie with a slack."""
         y_full = np.zeros(self.k0)
         y_full[self.active] = y
-        cost_sign = 0.0 if phase == 1 else self.sense
         best_id, best_rc = self.oracle.price_min(y_full, self.active, cost_sign)
         if self.nslack:  # a slack costs nothing, so its reduced cost is -y_row
             rc = -(y @ self.units[:, :self.nslack])
+            # a basic slack cannot enter
+            basic = [cid - self.n for cid in self.basis if self.n <= cid < self.n + self.nslack]
+            rc[basic] = np.inf
             t = int(np.argmin(rc))
             if rc[t] < best_rc:
                 best_id, best_rc = self.n + t, rc[t]
+        return best_id, best_rc
+
+    def entering(self, phase: int) -> int | None:
+        cost_sign = 0.0 if phase == 1 else self.sense
+        best_id, best_rc = self.least_reduced_cost(self.cb @ self.binv, cost_sign)
         return best_id if best_rc < -self.tol_opt else None
 
     def ratio_test(self, d: np.ndarray) -> int | None:
@@ -312,18 +313,12 @@ class _Simplex:
             pos = next((p for p, cid in enumerate(self.basis) if cid >= art_base), None)
             if pos is None:
                 return
+            # max_j |v . a_j| is the larger of max v . a_j and max -v . a_j,
+            # and zero-cost pricing with duals v and -v gives their negatives
             v = self.binv[pos, :]
-            v_full = np.zeros(self.k0)
-            v_full[self.active] = v
-            best_id, best_val = self.oracle.price_max_abs(v_full, self.active)
-            if self.nslack:
-                vals = np.abs(v @ self.units[:, :self.nslack])
-                # a basic slack cannot enter
-                vals[[cid - self.n for cid in self.basis if self.n <= cid < art_base]] = 0.0
-                t = int(np.argmax(vals))
-                if vals[t] > best_val:
-                    best_id, best_val = self.n + t, vals[t]
-            if best_val > 1e-7 and best_id not in self.basis:
+            best_id, best_rc = min(self.least_reduced_cost(v, 0.0),
+                                   self.least_reduced_cost(-v, 0.0), key=lambda c: c[1])
+            if -best_rc > 1e-7 and best_id not in self.basis:
                 a = self.col(best_id)
                 self.pivot(best_id, pos, a, self.binv @ a)
             else:

@@ -84,6 +84,19 @@ def test_oracle_cost_is_prognosis_contrast():
         assert oracle.cost(j) == pytest.approx(r1 - r0)
 
 
+def _assert_prices_with_both_signs(oracle, dense, matrix, y, rows, scaled=False):
+    """Zero-cost pricing with duals y, then -y, on one oracle, as the
+    phase-1 cleanup prices; the curvature c5 = -y5 changes sign between
+    the two calls.  A scaled tolerance grows with the terms of the score."""
+    for duals in (y, -y):
+        jg, vg = oracle.price_min(duals, rows, 0.0)
+        jd, vd = dense.price_min(duals, rows, 0.0)
+        tol = 1e-12 * (max(1.0, np.abs(duals[rows] * matrix[rows, jg]).sum())
+                       if scaled else 1.0)
+        assert vg == pytest.approx(vd, abs=tol)
+        assert -(duals[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=tol)
+
+
 def test_pricing_matches_dense_columns():
     rng = np.random.default_rng(5)
     for objective in ("psi", "f", "g"):
@@ -109,10 +122,7 @@ def test_pricing_matches_dense_columns():
                     assert vg == pytest.approx(vd, abs=1e-12)
                     rc = sign * costs[jg] - y[rows] @ matrix[rows, jg]
                     assert rc == pytest.approx(vg, abs=1e-12)
-                jg, vg = oracle.price_max_abs(y, rows)
-                jd, vd = dense.price_max_abs(y, rows)
-                assert vg == pytest.approx(vd, abs=1e-12)
-                assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=1e-12)
+                _assert_prices_with_both_signs(oracle, dense, matrix, y, rows)
             # phase 1 of an infeasible tiny-g request ends with g-row duals
             # of this size; the score near the g row's zero set must keep
             # its digits relative to the terms it sums
@@ -127,10 +137,7 @@ def test_pricing_matches_dense_columns():
                     assert vg == pytest.approx(vd, abs=tol)
                     rc = sign * costs[jg] - y[rows] @ matrix[rows, jg]
                     assert rc == pytest.approx(vg, abs=tol)
-                jg, vg = oracle.price_max_abs(y, rows)
-                jd, vd = dense.price_max_abs(y, rows)
-                tol = 1e-12 * max(1.0, np.abs(y[rows] * matrix[rows, jg]).sum())
-                assert vg == pytest.approx(vd, abs=tol)
+                _assert_prices_with_both_signs(oracle, dense, matrix, y, rows, scaled=True)
             # no curvature (y5 = 0, and no slope either when y1 = y3) and a
             # curvature too small to give a finite vertex
             for y5 in (0.0, 1e-320, -1e-320):
@@ -142,9 +149,7 @@ def test_pricing_matches_dense_columns():
                     jd, vd = dense.price_min(y, np.arange(7), sign)
                     assert vg == pytest.approx(vd, abs=1e-12)
                     assert 0 <= jg < oracle.n
-                jg, vg = oracle.price_max_abs(y, np.arange(7))
-                jd, vd = dense.price_max_abs(y, np.arange(7))
-                assert vg == pytest.approx(vd, abs=1e-12)
+                _assert_prices_with_both_signs(oracle, dense, matrix, y, np.arange(7))
             if objective != "g":
                 continue
             # the sign split of price_min at its edge: c5 = cost_sign - y5
@@ -195,14 +200,12 @@ def test_pricing_matches_dense_columns_property(cells, m, objective, rows,
             assert {(jg // m) % m, jg % m} <= {0, m - 1}
 
     # the scratch planes are reused from call to call: price on one oracle
-    # with fresh duals and the other curvature sign after price_max_abs
+    # with y and -y at zero cost, then with fresh duals and the other
+    # curvature sign
     y = np.array(y)
     y[5] = y5
     check_min(y)
-    jg, vg = oracle.price_max_abs(y, rows)
-    jd, vd = dense.price_max_abs(y, rows)
-    assert vg == pytest.approx(vd, abs=tol(y, jg))
-    assert abs(y[rows] @ matrix[rows, jg]) == pytest.approx(vg, abs=tol(y, jg))
+    _assert_prices_with_both_signs(oracle, dense, matrix, y, rows, scaled=True)
     y = np.array(y_again)
     y[5] = -y5
     check_min(y)

@@ -167,6 +167,23 @@ def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
     assert out == ""
 
 
+@pytest.mark.parametrize("grid, expected", [
+    ({"refine_tol": 0}, "error: refine_tol must be positive\n"),
+    ({"m": 64, "refine": True, "max_m": 32},
+     "error: max_m must not be below the starting grid\n"),
+], ids=["refine_tol", "max_m"])
+def test_out_of_range_grid_config_exits_1(capsys, tmp_path, grid, expected):
+    """A refine tolerance of 0 and a refine ceiling below the starting grid
+    exit 1 with the message of BoundsRequest, which names the field."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
+                                  "budget": {"f": 0.03, "g": 0.04}, "grid": grid}))
+    code, out, err = run(capsys, "bounds", "--config", str(config))
+    assert code == 1
+    assert err == expected
+    assert out == ""
+
+
 def test_fixed_grid_above_max_m_needs_no_refine(capsys):
     # max_m (default 256) bounds refinement only
     data = run_json(capsys, "bounds", "--table", str(FIXTURES / "drug.tbl"),

@@ -69,11 +69,6 @@ def test_joint_rejects_non_finite_cells():
             ObservedJoint(p11=0.25, p10=0.25, p01=bad, p00=0.5)
 
 
-def test_zero_cell_probe():
-    assert ObservedJoint(p11=0.0, p10=0.5, p01=0.2, p00=0.3).has_zero_cell()
-    assert not GOLF.has_zero_cell()
-
-
 def test_budget_validation_and_clamp():
     with pytest.raises(ValueError):
         MomentBudget(f=-0.01, g=0.1)

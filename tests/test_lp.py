@@ -301,7 +301,9 @@ def test_kept_basis_matches_fresh_build(monkeypatch):
 
 
 class _CountingOracle:
-    """Passes every call through to an oracle and counts cost and columns."""
+    """Passes every call through to an oracle and counts cost and columns.
+    It has the four members of the protocol and nothing more, so a solve
+    that asked for any other method would fail."""
 
     def __init__(self, inner):
         self.inner, self.costs, self.columns_calls = inner, 0, 0
@@ -318,9 +320,6 @@ class _CountingOracle:
     def price_min(self, y, rows, cost_sign):
         return self.inner.price_min(y, rows, cost_sign)
 
-    def price_max_abs(self, v, rows):
-        return self.inner.price_max_abs(v, rows)
-
 
 def test_one_cost_and_one_column_per_pivot():
     for program in _kept_basis_programs():
@@ -329,3 +328,61 @@ def test_one_cost_and_one_column_per_pivot():
         assert sol == lp.solve(program)
         assert oracle.costs <= sol.iterations + len(program.rows)
         assert oracle.columns_calls <= sol.iterations
+
+
+class _PurgeCheckedSimplex(lp._Simplex):
+    """Checks every choice of the phase-1 cleanup against a brute-force
+    max |v . a| over the structural columns and the nonbasic slacks, v the
+    row of B^-1 at the artificial's position."""
+
+    purging, purge_pivots = False, 0
+
+    def purge_artificials(self):
+        self.purging, self.priced, self.purge_pivots = True, [], 0
+        super().purge_artificials()
+        self.purging = False
+
+    def least_reduced_cost(self, y, cost_sign):
+        best = super().least_reduced_cost(y, cost_sign)
+        if self.purging:
+            self.priced.append(best)
+        return best
+
+    def _chosen_and_largest(self, pos):
+        """The |v . a| the purge chose, from its two pricing calls, and the
+        brute-force maximum."""
+        assert len(self.priced) == 2
+        chosen = -min(rc for _, rc in self.priced)
+        self.priced = []
+        v = self.binv[pos]
+        structural = np.abs(v @ self.oracle.columns(np.arange(self.n), self.active))
+        nonbasic = [t for t in range(self.nslack) if self.n + t not in self.basis]
+        slacks = np.abs(v @ self.units[:, nonbasic])
+        return chosen, max(structural.max(), slacks.max(initial=0.0))
+
+    def pivot(self, enter, leave_pos, a, d):
+        if self.purging:
+            chosen, largest = self._chosen_and_largest(leave_pos)
+            assert largest > 1e-7
+            assert chosen == pytest.approx(largest, rel=1e-12, abs=1e-15)
+            assert abs(self.binv[leave_pos] @ a) == pytest.approx(largest, rel=1e-12, abs=1e-15)
+            self.purge_pivots += 1
+        super().pivot(enter, leave_pos, a, d)
+
+    def _drop_row(self, pos):
+        if self.purging:
+            chosen, largest = self._chosen_and_largest(pos)
+            # the basic columns give v . a = 0, so only a row whose other
+            # columns all vanish on v is dropped
+            assert largest <= 1e-7
+            assert chosen == pytest.approx(largest, abs=1e-12)
+        super()._drop_row(pos)
+
+
+def test_purge_pivots_on_the_largest_abs_reduced_cost():
+    purge_pivots = 0
+    for program in _kept_basis_programs():
+        simplex = _PurgeCheckedSimplex(program, 1e-9, 1e-9, 20000)
+        assert simplex.run() == lp.solve(program)
+        purge_pivots += simplex.purge_pivots
+    assert purge_pivots >= 2
