@@ -340,8 +340,12 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
     reached; the converged flag records which happened.  A fixed-grid
     request has nothing pending and reports converged.  Grids too coarse
     to carry any feasible measure are skipped; if every grid is
-    infeasible the error carries minimal-budget diagnostics.
+    infeasible the error carries minimal-budget diagnostics.  A table
+    with an empty treatment arm leaves a conditional risk undefined and
+    raises DegenerateTableError under every budget.
     """
+    risk_x1(req.joint)
+    risk_x0(req.joint)
     if req.budget.f == 0.0:
         return _pinned_interval(req.joint, req)
 
@@ -352,14 +356,12 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
         out = _solve_level(req.joint, req.budget, m)
         if out is None:
             continue
-        if prev is not None:
-            delta = max(abs(out[0] - prev[0]), abs(out[1] - prev[1]))
-            prev, prev_m = out, m
-            if delta < req.refine_tol:
-                converged = True
-                break
-        else:
-            prev, prev_m = out, m
+        settled = (prev is not None and
+                   max(abs(out[0] - prev[0]), abs(out[1] - prev[1])) < req.refine_tol)
+        prev, prev_m = out, m
+        if settled:
+            converged = True
+            break
 
     if prev is None:
         fmin = _try_minimal(req.joint, "f", req.budget.g, req)

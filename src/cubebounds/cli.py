@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -50,7 +49,6 @@ from .sensitivity import (
     shift_interval_range,
 )
 
-ENV_GRID = "CUBEBOUNDS_GRID_M"
 DEFAULT_GRID_M = 64
 
 
@@ -189,15 +187,9 @@ class _Analysis:
 
 def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
     """The grid of one subcommand: m from the flag, else the config, else
-    $CUBEBOUNDS_GRID_M, else DEFAULT_GRID_M."""
+    DEFAULT_GRID_M."""
     m = flag if flag is not None else configured
-    if m is None:
-        raw = os.environ.get(ENV_GRID)
-        try:
-            m = DEFAULT_GRID_M if raw is None else int(raw)
-        except ValueError:
-            raise CliError(f"{ENV_GRID}: expected an integer, got {raw!r}")
-    return GridSpec(m)
+    return GridSpec(DEFAULT_GRID_M if m is None else m)
 
 
 def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, float, float]:
@@ -624,8 +616,8 @@ def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-m", type=int, help=f"grid points per axis "
-                   f"(default ${ENV_GRID} or {DEFAULT_GRID_M})")
+    p.add_argument("--grid-m", type=int,
+                   help=f"grid points per axis (default {DEFAULT_GRID_M})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,9 @@ simplex with on-demand column pricing.  Columns are supplied by an oracle
 (index -> cost and row coefficients) so the constraint matrix never needs
 to be materialized; a dense adapter covers small explicit problems.  The
 simplex keeps its basis matrix and basic costs itself, so each pivot asks
-the oracle for one column and one cost.
+the oracle for one column and one cost.  Bases have as many rows as the
+LP (seven for the bounds LPs), so the basis is inverted afresh after
+every pivot and no inverse is ever updated in place.
 
 Conventions: variables are nonnegative weights; rows are "eq" or "le";
 "le" rows receive slack variables internally; rows whose slack cannot
@@ -30,8 +32,13 @@ ITERATION_LIMIT = "iteration_limit"
 # Pivot elements smaller than this are treated as zero in ratio tests and
 # when driving artificials out of the basis.
 PIVOT_TOL = 1e-10
-
-REFACTOR_EVERY = 64
+# Primal slack: the largest phase-1 objective still counted as feasible,
+# the width of a ratio-test tie, and a tenth of the most negative basic
+# value accepted at the optimum.
+TOL_FEAS = 1e-9
+# A column enters only if its reduced cost is below -TOL_OPT.
+TOL_OPT = 1e-9
+MAX_ITER = 20000
 
 
 class SingularBasisError(RuntimeError):
@@ -138,10 +145,11 @@ class _Simplex:
     over the active rows.
 
     The run keeps its basis: `B` holds the basic columns over the active
-    rows, `binv` its inverse, `xb` the basic values and `cb` the basic
-    costs of the current phase.  A pivot writes the entering column into
-    `B` and its cost into `cb`, so it asks the oracle for at most one
-    column and one cost, and a refactorization inverts `B` as kept.
+    rows and `cb` the basic costs of the current phase.  A pivot writes
+    the entering column into `B` and its cost into `cb`, so it asks the
+    oracle for at most one column and one cost.  `B` is the only basis
+    state: `refactorize` derives its inverse `binv` and the basic values
+    `xb` from it, after the start, every pivot and every row deletion.
 
     Ratio-test ties are broken on the rows of B^-1 B_ref / d, where B_ref
     is the basis matrix at the start of each phase (after phase 1 deletes
@@ -151,14 +159,10 @@ class _Simplex:
     whichever improving column enters.
     """
 
-    def __init__(self, lp: LinearProgram, tol_feas: float, tol_opt: float,
-                 max_iter: int):
+    def __init__(self, lp: LinearProgram):
         self.oracle = lp.oracle
         self.n = lp.oracle.n
         self.sense = 1.0 if lp.sense == "min" else -1.0
-        self.tol_feas = tol_feas
-        self.tol_opt = tol_opt
-        self.max_iter = max_iter
         self.ref: np.ndarray | None = None
 
         self.rels = [rel for rel, _ in lp.rows]
@@ -192,10 +196,8 @@ class _Simplex:
         self.units[self.slack_rows, np.arange(self.nslack)] = 1.0
         self.units[art_rows, np.arange(self.nslack, self.units.shape[1])] = signs[art_rows]
         self.basis = basis
-        # the starting basis is a signed identity, its own inverse
         self.B = self.units[:, np.array(basis) - self.n]
-        self.binv = self.B.copy()
-        self.xb = signs * self.rhs
+        self.refactorize()
 
     def refactorize(self) -> None:
         try:
@@ -205,27 +207,16 @@ class _Simplex:
         if not np.all(np.isfinite(self.binv)):
             raise SingularBasisError("non-finite basis inverse")
         self.xb = self.binv @ self.rhs[self.active]
-        self.pivots_since_refactor = 0
 
     def pivot(self, enter: int, leave_pos: int, a: np.ndarray, d: np.ndarray) -> None:
         """Swap column `enter`, with coefficients a and d = B^-1 a, into
-        the basis at leave_pos."""
-        piv = d[leave_pos]
-        if abs(piv) < PIVOT_TOL:
+        the basis at leave_pos, and invert the new basis."""
+        if abs(d[leave_pos]) < PIVOT_TOL:
             raise SingularBasisError("vanishing pivot element")
-        theta = self.xb[leave_pos] / piv
-        self.xb = self.xb - theta * d
-        self.xb[leave_pos] = theta
-        self.binv[leave_pos, :] /= piv
-        # eta update: subtract multiples of the pivot row from the others
-        others = np.arange(len(self.xb)) != leave_pos
-        self.binv[others, :] -= np.outer(d[others], self.binv[leave_pos, :])
         self.B[:, leave_pos] = a
         self.basis[leave_pos] = enter
         self.iterations += 1
-        self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= REFACTOR_EVERY:
-            self.refactorize()
+        self.refactorize()
 
     # -- simplex iterations ------------------------------------------------------
 
@@ -249,7 +240,7 @@ class _Simplex:
     def entering(self, phase: int) -> int | None:
         cost_sign = 0.0 if phase == 1 else self.sense
         best_id, best_rc = self.least_reduced_cost(self.cb @ self.binv, cost_sign)
-        return best_id if best_rc < -self.tol_opt else None
+        return best_id if best_rc < -TOL_OPT else None
 
     def ratio_test(self, d: np.ndarray) -> int | None:
         """Leaving position, or None when the direction is unbounded."""
@@ -257,12 +248,12 @@ class _Simplex:
         if cand.size == 0:
             return None
         ratios = self.xb[cand] / d[cand]
-        ties = cand[ratios <= np.min(ratios) + self.tol_feas]
+        ties = cand[ratios <= np.min(ratios) + TOL_FEAS]
         if ties.size == 1:
             return int(ties[0])
         lex = (self.binv[ties] @ self.ref) / d[ties, None]
         for c in range(lex.shape[1]):
-            keep = lex[:, c] <= lex[:, c].min() + self.tol_feas
+            keep = lex[:, c] <= lex[:, c].min() + TOL_FEAS
             ties, lex = ties[keep], lex[keep]
             if ties.size == 1:
                 break
@@ -278,7 +269,7 @@ class _Simplex:
             self.cb = np.array([self.sense * self.oracle.cost(cid) if cid < self.n
                                 else 0.0 for cid in self.basis])
         while True:
-            if self.iterations >= self.max_iter:
+            if self.iterations >= MAX_ITER:
                 return ITERATION_LIMIT
             enter = self.entering(phase)
             if enter is None:
@@ -327,53 +318,48 @@ class _Simplex:
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> LpSolution:
-        self.pivots_since_refactor = 0
         self.start_basis()
 
         status = self.iterate(phase=1)
         if status == ITERATION_LIMIT:
             return self._abort(status)
-        phase1_obj = float(self.cb @ self.xb)
-        if phase1_obj > self.tol_feas:
-            return LpSolution(INFEASIBLE, math.nan, (), (0.0,) * self.k0,
-                              self.iterations, tuple(self.deleted))
+        if float(self.cb @ self.xb) > TOL_FEAS:
+            return self._abort(INFEASIBLE)
         self.purge_artificials()
 
         status = self.iterate(phase=2)
         if status == ITERATION_LIMIT:
             return self._abort(status)
         if status == UNBOUNDED:
-            obj = -math.inf if self.sense > 0 else math.inf
-            return LpSolution(UNBOUNDED, obj, (), (0.0,) * self.k0,
-                              self.iterations, tuple(self.deleted))
+            return self._abort(status, -math.inf if self.sense > 0 else math.inf)
 
-        self.refactorize()  # tighten the final solution
-        if np.any(self.xb < -self.tol_feas * 10):
+        if np.any(self.xb < -TOL_FEAS * 10):
             raise SingularBasisError("negative basic variable at optimum")
         # round-off weights below zero go, so the objective and the
         # support are computed from the same weights
-        self.xb = np.maximum(self.xb, 0.0)
-        internal_obj = float(self.cb @ self.xb)
+        xb = np.maximum(self.xb, 0.0)
+        internal_obj = float(self.cb @ xb)
         duals = np.zeros(self.k0)
         duals[self.active] = self.sense * (self.cb @ self.binv)
         support = tuple(
-            (cid, float(w)) for cid, w in zip(self.basis, self.xb)
+            (cid, float(w)) for cid, w in zip(self.basis, xb)
             if cid < self.n and w > 0.0)
         return LpSolution(OPTIMAL, self.sense * internal_obj, support,
                           tuple(duals), self.iterations, tuple(self.deleted))
 
-    def _abort(self, status: str) -> LpSolution:
-        return LpSolution(status, math.nan, (), (0.0,) * self.k0,
+    def _abort(self, status: str, objective: float = math.nan) -> LpSolution:
+        """A non-optimal result: no support and zero duals."""
+        return LpSolution(status, objective, (), (0.0,) * self.k0,
                           self.iterations, tuple(self.deleted))
 
 
-def solve(lp: LinearProgram, tol_feas: float = 1e-9, tol_opt: float = 1e-9,
-          max_iter: int = 20000) -> LpSolution:
+def solve(lp: LinearProgram) -> LpSolution:
     """Solve an LP by two-phase revised simplex.
 
     Dantzig pricing over the full column oracle, and the lexicographic
-    ratio test from the first pivot, which cannot cycle.  The rule is
-    deterministic, so a numerically singular basis is not retried: it
-    raises SingularBasisError.
+    ratio test from the first pivot, which cannot cycle.  The tolerances
+    and the iteration limit are the module constants TOL_FEAS, TOL_OPT and
+    MAX_ITER.  The rule is deterministic, so a numerically singular basis
+    is not retried: it raises SingularBasisError.
     """
-    return _Simplex(lp, tol_feas, tol_opt, max_iter).run()
+    return _Simplex(lp).run()

@@ -362,8 +362,8 @@ def test_minimal_budget_tiny_g_f(monkeypatch):
     iterations = []
     solve = lp.solve
 
-    def recording(program, **kw):
-        sol = solve(program, **kw)
+    def recording(program):
+        sol = solve(program)
         iterations.append(sol.iterations)
         return sol
 
@@ -377,7 +377,7 @@ def test_minimal_budget_tiny_g_f(monkeypatch):
 def test_minimal_budget_refuses_unexpected_lp_status(monkeypatch):
     # a status other than optimal, infeasible or the iteration limit is a
     # numerical failure, not a joint the grids cannot represent
-    def unbounded(program, **kw):
+    def unbounded(program):
         return lp.LpSolution(lp.UNBOUNDED, -np.inf, (), (0.0,) * 7, 1)
 
     monkeypatch.setattr(lp, "solve", unbounded)

@@ -96,6 +96,19 @@ def test_bounds_infeasible_budget_exits_2(capsys):
     assert "least feasible" in err
 
 
+@pytest.mark.parametrize("cells,arm", [("0 0 5 95", "x=1"), ("5 95 0 0", "x=0")])
+@pytest.mark.parametrize("budget", [("--dx", "0.5", "--dy", "0.5"),
+                                    ("--f", "0.03", "--g", "0.04")])
+def test_empty_treatment_arm_is_refused_under_both_budget_modes(capsys, tmp_path,
+                                                                cells, arm, budget):
+    table = tmp_path / "t.tbl"
+    table.write_text(cells + "\n")
+    code, out, err = run(capsys, "bounds", "--table", str(table), *budget)
+    assert code == 1
+    assert f"Pr({arm}) is zero; conditional risk undefined" in err
+    assert out == ""
+
+
 def test_iteration_limit_maps_to_exit_3(capsys, monkeypatch):
     def blow_up(req):
         raise IterationLimitError("simplex iteration limit at grid m=64")
@@ -108,7 +121,7 @@ def test_iteration_limit_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_singular_basis_maps_to_exit_3(capsys, monkeypatch):
-    def singular(program, **kw):
+    def singular(program):
         raise lp.SingularBasisError("singular basis at refactorization")
     monkeypatch.setattr(lp, "solve", singular)
     code, out, err = run(capsys, "bounds", "--table",
@@ -120,7 +133,7 @@ def test_singular_basis_maps_to_exit_3(capsys, monkeypatch):
 
 
 def test_unexpected_lp_status_maps_to_exit_3(capsys, monkeypatch):
-    def unbounded(program, **kw):
+    def unbounded(program):
         return lp.LpSolution(lp.UNBOUNDED, float("-inf"), (), (0.0,) * 7, 3)
     monkeypatch.setattr(lp, "solve", unbounded)
     code, out, err = run(capsys, "bounds", "--table",
@@ -269,24 +282,11 @@ def test_usage_error_exits_1(capsys):
     capsys.readouterr()
 
 
-def test_env_var_sets_default_grid(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_GRID, "50")
-    data = run_json(capsys, "bounds", "--table", str(FIXTURES / "golf.tbl"),
-                    "--f", "0.125", "--g", "0.03", "--json")
-    assert data["grid"]["m_final"] == 50
-    monkeypatch.setenv(cli.ENV_GRID, "not-a-number")
-    code, out, err = run(capsys, "bounds", "--table",
-                         str(FIXTURES / "golf.tbl"), "--f", "0.125",
-                         "--g", "0.03")
-    assert code == 1
-
-
-def test_env_var_grid_is_checked_for_simulate_too(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_GRID, "0")
+def test_one_point_grid_is_refused_by_bounds_and_simulate(capsys):
     for argv in (("bounds", "--table", str(FIXTURES / "golf.tbl"),
                   "--f", "0.125", "--g", "0.03"),
                  ("simulate", str(FIXTURES / "golf_toy.json"), "--runs", "1")):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv, "--grid-m", "1")
         assert code == 1
         assert "grid needs at least 2 points per axis" in err
 
@@ -331,14 +331,13 @@ def test_calibrate_requires_discrimination_mode(capsys):
     assert "discrimination" in err
 
 
-def test_calibrate_ignores_grid_settings(capsys, monkeypatch, tmp_path):
+def test_calibrate_ignores_grid_settings(capsys, tmp_path):
     # calibrate solves nothing, so a grid it would refuse does not matter
     golden = (GOLDEN / "calibrate_golf.txt").read_bytes()
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "table": str(FIXTURES / "golf.tbl"), "budget": {"d_x": 0.5, "d_y": 0.5},
         "grid": {"m": 16, "refine": True, "max_m": 8}}))
-    monkeypatch.setenv(cli.ENV_GRID, "0")
     for argv in (("--table", str(FIXTURES / "golf.tbl"), "--dx", "0.5", "--dy", "0.5"),
                  ("--config", str(cfg))):
         code, out, err = run(capsys, "calibrate", *argv)
@@ -411,9 +410,8 @@ GOLF_DISC = ("bounds", "--table", FIXTURES / "golf.tbl", "--dx", "0.5",
     ("decompose_profiles",
      ("decompose", FIXTURES / "profiles.csv", "--json")),
 ])
-def test_text_report_matches_golden(capsys, monkeypatch, name, argv):
+def test_text_report_matches_golden(capsys, name, argv):
     # text: the whole stdout, byte for byte; --json: the parsed report
-    monkeypatch.delenv(cli.ENV_GRID, raising=False)
     code, out, err = run(capsys, *map(str, argv))
     assert code == 0, err
     if "--json" in argv:
