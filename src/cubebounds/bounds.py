@@ -34,10 +34,9 @@ from .core import (
 class InfeasibleBudgetError(RuntimeError):
     """The requested (f, g) admits no measure on any attempted grid."""
 
-    def __init__(self, message: str, grid_m: int,
+    def __init__(self, message: str,
                  minimal_f: float | None, minimal_g: float | None):
         super().__init__(message)
-        self.grid_m = grid_m
         self.minimal_f = minimal_f
         self.minimal_g = minimal_g
 
@@ -68,8 +67,20 @@ class GridSpec:
         return (np.arange(1, self.m + 1) - 0.5) / self.m
 
 
+DEFAULT_GRID_M = 64
+
+
 @dataclass(frozen=True)
 class BoundsRequest:
+    """One interval question and the grid ladder that answers it.
+
+    The ladder starts at grid.m.  With refine set it doubles the grid up
+    to max_m, skips grids too coarse to carry a feasible measure, and
+    stops at the first solved grid that moves every objective by less
+    than refine_tol from the solved grid before it.  A refused request's
+    least feasible budgets walk the same ladder, always refined.
+    """
+
     joint: ObservedJoint
     budget: MomentBudget
     grid: GridSpec
@@ -283,39 +294,44 @@ def _checked(sol: lp.LpSolution, m: int) -> lp.LpSolution | None:
     return sol
 
 
-def _solve_level(joint: ObservedJoint, budget: MomentBudget, m: int):
-    """One grid level; returns (L, U, cert_min, cert_max) or None if the
-    grid admits no feasible measure."""
-    oracle = GridColumns(joint, m, objective="psi")
-    rows = _constraint_rows(joint, budget.f, budget.g)
-    results = []
-    for sense in ("min", "max"):
-        sol = _checked(lp.solve(lp.LinearProgram(sense, oracle, rows)), m)
-        if sol is None:
-            return None
-        results.append(sol)
-    smin, smax = results
-    return (smin.objective, smax.objective,
-            _certificate(oracle, smin.support),
-            _certificate(oracle, smax.support))
+def _ladder(req: BoundsRequest, refine: bool, objective: str, senses,
+            f: float, g: float):
+    """The request's grid ladder for one objective under moment bounds f, g.
+
+    Each grid gets one oracle, and its senses are solved in order; an
+    infeasible sense skips the grid.  Returns (m, oracle, solutions,
+    settled) for the last solved grid, or None if no grid was solved.
+    """
+    ms = [req.grid.m]
+    while refine and 2 * ms[-1] <= req.max_m:
+        ms.append(2 * ms[-1])
+    rows = _constraint_rows(req.joint, f, g)
+    last = None
+    for m in ms:
+        oracle = GridColumns(req.joint, m, objective=objective)
+        solutions = []
+        for sense in senses:
+            sol = _checked(lp.solve(lp.LinearProgram(sense, oracle, rows)), m)
+            if sol is None:
+                break
+            solutions.append(sol)
+        else:
+            settled = last is not None and all(
+                abs(new.objective - old.objective) < req.refine_tol
+                for new, old in zip(solutions, last[2]))
+            last = m, oracle, solutions, settled
+            if settled:
+                break
+    return last
 
 
-def _ladder(start: int, refine: bool, max_m: int) -> list[int]:
-    ms = [start]
-    if refine:
-        m = start
-        while 2 * m <= max_m:
-            m *= 2
-            ms.append(m)
-    return ms
-
-
-def _pinned_interval(joint: ObservedJoint, req: BoundsRequest) -> IdentifiedInterval:
+def _pinned_interval(req: BoundsRequest) -> IdentifiedInterval:
     # A zero f budget pins pi at Pr(x=1) almost surely, and the equality
     # rows then pin the mean conditional prognoses at the observed
     # conditional risks, collapsing the interval to the risk difference.
     # No interior grid can place pi exactly at Pr(x=1), so this case is
     # solved in closed form rather than by the LP.
+    joint = req.joint
     r1 = risk_x1(joint)
     r0 = risk_x0(joint)
     tiny = 1e-9
@@ -335,71 +351,50 @@ def _pinned_interval(joint: ObservedJoint, req: BoundsRequest) -> IdentifiedInte
 def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
     """Compute the identified interval (L, U) with certificates.
 
-    With refine set, the grid doubles until both endpoints move by less
-    than refine_tol between successive feasible grids, or max_m is
-    reached; the converged flag records which happened.  A fixed-grid
-    request has nothing pending and reports converged.  Grids too coarse
-    to carry any feasible measure are skipped; if every grid is
-    infeasible the error carries minimal-budget diagnostics.  A table
-    with an empty treatment arm leaves a conditional risk undefined and
-    raises DegenerateTableError under every budget.
+    The converged flag records whether refinement settled before max_m;
+    a fixed-grid request has nothing pending and reports converged.  If
+    no grid carries a feasible measure the error carries the least
+    feasible f and g, each None where no grid represents the table.  A
+    table with an empty treatment arm leaves a conditional risk
+    undefined and raises DegenerateTableError under every budget.
     """
     risk_x1(req.joint)
     risk_x0(req.joint)
     if req.budget.f == 0.0:
-        return _pinned_interval(req.joint, req)
+        return _pinned_interval(req)
 
-    prev = None
-    prev_m = req.grid.m
-    converged = not req.refine
-    for m in _ladder(req.grid.m, req.refine, req.max_m):
-        out = _solve_level(req.joint, req.budget, m)
-        if out is None:
-            continue
-        settled = (prev is not None and
-                   max(abs(out[0] - prev[0]), abs(out[1] - prev[1])) < req.refine_tol)
-        prev, prev_m = out, m
-        if settled:
-            converged = True
-            break
-
-    if prev is None:
-        fmin = _try_minimal(req.joint, "f", req.budget.g, req)
-        gmin = _try_minimal(req.joint, "g", req.budget.f, req)
+    level = _ladder(req, req.refine, "psi", ("min", "max"),
+                    req.budget.f, req.budget.g)
+    if level is None:
+        least = []
+        for which in ("f", "g"):
+            try:
+                least.append(minimal_budget(req, which))
+            except (EqualityInfeasibleError, IterationLimitError):
+                least.append(None)
         raise InfeasibleBudgetError(
             f"no measure matches the table under f={req.budget.f}, "
             f"g={req.budget.g} on grids up to m={req.max_m if req.refine else req.grid.m}",
-            grid_m=prev_m, minimal_f=fmin, minimal_g=gmin)
+            *least)
 
-    L, U, cert_min, cert_max = prev
-    return IdentifiedInterval(L=L, U=U, certificate_min=cert_min,
-                              certificate_max=cert_max,
-                              grid_resolution=prev_m, converged=converged)
-
-
-def _try_minimal(joint, which, other_value, req) -> float | None:
-    try:
-        return minimal_budget(joint, which, other_value, grid=req.grid,
-                              max_m=req.max_m)
-    except (EqualityInfeasibleError, IterationLimitError):
-        return None
+    m, oracle, (smin, smax), settled = level
+    return IdentifiedInterval(L=smin.objective, U=smax.objective,
+                              certificate_min=_certificate(oracle, smin.support),
+                              certificate_max=_certificate(oracle, smax.support),
+                              grid_resolution=m, converged=settled or not req.refine)
 
 
-def minimal_budget(joint: ObservedJoint, which: str, other_value: float,
-                   grid: GridSpec | None = None, refine_tol: float = 1e-3,
-                   max_m: int = 256) -> float:
-    """Least attainable value of one moment given the other's budget.
+def minimal_budget(req: BoundsRequest, which: str) -> float:
+    """Least attainable value of one moment given the request's bound on
+    the other.
 
     Minimizes the f (or g) moment over measures that reproduce the
-    observed joint and respect the other moment's bound; used to
-    diagnose infeasible budget requests.  Grid-refined until the value
-    stabilizes below refine_tol or max_m is reached.
+    observed joint and respect the other moment's budget, on the
+    request's ladder refined; used to diagnose a refused request.
     """
     if which not in ("f", "g"):
         raise ValueError("which must be 'f' or 'g'")
-    if other_value < 0:
-        raise ValueError("other_value must be nonnegative")
-    if which == "g" and other_value == 0.0:
+    if which == "g" and req.budget.f == 0.0:
         # pi pinned at Pr(x=1) forces the conditional prognosis means to
         # the observed risks; the single atom at those risks has
         # r = Pr(y=1) exactly, so the g moment can reach zero.
@@ -407,19 +402,10 @@ def minimal_budget(joint: ObservedJoint, which: str, other_value: float,
 
     # the minimized moment's own row gets a vacuous bound: coefficients
     # are < 1 on the interior grid, so a bound of 1.0 never binds
-    f_bound = 1.0 if which == "f" else other_value
-    g_bound = other_value if which == "f" else 1.0
-    rows = _constraint_rows(joint, f_bound, g_bound)
-    value = None
-    for m in _ladder((grid or GridSpec(16)).m, True, max_m):
-        oracle = GridColumns(joint, m, objective=which)
-        sol = _checked(lp.solve(lp.LinearProgram("min", oracle, rows)), m)
-        if sol is not None:
-            if value is not None and abs(sol.objective - value) < refine_tol:
-                return sol.objective
-            value = sol.objective
-    if value is None:
+    f_bound, g_bound = (1.0, req.budget.g) if which == "f" else (req.budget.f, 1.0)
+    level = _ladder(req, True, which, ("min",), f_bound, g_bound)
+    if level is None:
         raise EqualityInfeasibleError(
             f"the observed joint is not representable on interior grids up "
-            f"to m={max_m}; a near-boundary cell probability is the usual cause")
-    return value
+            f"to m={req.max_m}; a near-boundary cell probability is the usual cause")
+    return level[2][0].objective

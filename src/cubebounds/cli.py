@@ -23,8 +23,8 @@ from pathlib import Path
 
 from . import lp, sim
 from .bounds import (
+    DEFAULT_GRID_M,
     BoundsRequest,
-    EqualityInfeasibleError,
     GridSpec,
     InfeasibleBudgetError,
     IterationLimitError,
@@ -48,9 +48,6 @@ from .sensitivity import (
     population_k,
     shift_interval_range,
 )
-
-DEFAULT_GRID_M = 64
-
 
 class CliError(Exception):
     """Input problem; rendered to stderr and mapped to exit code 1."""
@@ -176,12 +173,9 @@ class _Analysis:
     d_x: float | None
     d_y: float | None
     k_mode: str | None           # "point" (k_min == k_max) | "range" | None
-    k_min: float                 # K, the grid and published_rd are read
-    k_max: float                 # for bounds alone
-    grid: GridSpec | None
-    refine: bool | None
-    refine_tol: float | None
-    max_m: int | None
+    k_min: float                 # K, the request and published_rd are
+    k_max: float                 # built for bounds alone
+    request: BoundsRequest | None  # None also when no budget is given
     published_rd: float | None
 
 
@@ -291,9 +285,11 @@ def _resolve(args) -> _Analysis:
 
     # K, the grid and the published contrast, which only bounds reads: see
     # _grid for the order of the grid; the refine flag only enables, and
-    # max_m bounds refinement alone
+    # refine_tol and max_m are passed only when the config sets them, so
+    # their defaults live in BoundsRequest alone
     k_mode, k_min, k_max = None, -math.inf, math.inf
-    grid = refine = refine_tol = max_m = published = None
+    grid = refine = published = None
+    ladder = {}
     if args.command == "bounds":
         k_mode, k_min, k_max = _k_spec(args, cfg, origin, cfg_dir)
         gcfg = cfg.get("grid", {})
@@ -308,18 +304,21 @@ def _resolve(args) -> _Analysis:
             raise CliError(f"{origin}: grid.refine: expected true or false, "
                            f"got {refine!r}")
         refine = args.refine or refine
-        refine_tol = _number(gcfg.get("refine_tol", 1e-3), f"{origin}: grid.refine_tol")
-        max_m = _integer(gcfg.get("max_m", 256), f"{origin}: grid.max_m")
+        if "refine_tol" in gcfg:
+            ladder["refine_tol"] = _number(gcfg["refine_tol"], f"{origin}: grid.refine_tol")
+        if "max_m" in gcfg:
+            ladder["max_m"] = _integer(gcfg["max_m"], f"{origin}: grid.max_m")
         if "published_risk_difference" in cfg:
             published = _number(cfg["published_risk_difference"],
                                 f"{origin}: published_risk_difference")
 
     if budget_mode == "discrimination":
         budget = calibrate_budget(joint, d_x, d_y)
+    request = (BoundsRequest(joint, budget, grid, refine=refine, **ladder)
+               if grid is not None and budget is not None else None)
     return _Analysis(table=table, joint=joint, budget_mode=budget_mode,
                      budget=budget, d_x=d_x, d_y=d_y, k_mode=k_mode,
-                     k_min=k_min, k_max=k_max, grid=grid, refine=refine,
-                     refine_tol=refine_tol, max_m=max_m,
+                     k_min=k_min, k_max=k_max, request=request,
                      published_rd=published)
 
 
@@ -388,16 +387,15 @@ def cmd_bounds(args) -> dict:
     a = _resolve(args)
     if a.budget_mode is None:
         raise CliError("no budget given (use --f/--g, --dx/--dy, or a config)")
-    iv = solve_bounds(BoundsRequest(a.joint, a.budget, a.grid, refine=a.refine,
-                                    refine_tol=a.refine_tol, max_m=a.max_m))
+    iv = solve_bounds(a.request)
     report = {
         "table": _table_dict(a.table),
         "joint": _joint_dict(a.joint),
         "risks": _risks(a.joint),
         "budget": {"f": a.budget.f, "g": a.budget.g, "mode": a.budget_mode,
                    "d_x": a.d_x, "d_y": a.d_y},
-        "grid": {"m_start": a.grid.m, "m_final": iv.grid_resolution,
-                 "refine": a.refine, "converged": iv.converged},
+        "grid": {"m_start": a.request.grid.m, "m_final": iv.grid_resolution,
+                 "refine": a.request.refine, "converged": iv.converged},
         "interval": {"L": iv.L, "U": iv.U, "width": iv.width},
         "certificates": {
             "min": [list(atom) for atom in iv.certificate_min.support()],
@@ -683,9 +681,6 @@ def main(argv=None) -> int:
         if exc.minimal_g is not None:
             print(f"  least feasible g at the given f: {exc.minimal_g:.6g}",
                   file=sys.stderr)
-        return 2
-    except EqualityInfeasibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IterationLimitError, lp.SingularBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundsRequest, GridSpec, solve_bounds
+from .bounds import DEFAULT_GRID_M, BoundsRequest, GridSpec, solve_bounds
 from .core import ContingencyTable, MomentBudget, ObservedJoint, normalize
 
 
@@ -265,7 +265,7 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    grid = grid or GridSpec(64)
+    grid = grid or GridSpec(DEFAULT_GRID_M)
     summary = oracle(spec)
     violation = False
     if budget is None:

@@ -35,6 +35,13 @@ def _fixed(joint, f, g, m):
                          refine=False)
 
 
+def _given_other(joint, which, other, m, **ladder):
+    """A request for minimal_budget(req, which): the moment other than
+    `which` is bounded by `other`, and the 0.25 of `which` goes unread."""
+    f, g = (0.25, other) if which == "f" else (other, 0.25)
+    return BoundsRequest(joint, MomentBudget(f=f, g=g), GridSpec(m), **ladder)
+
+
 # -- grid and assembly ---------------------------------------------------------
 
 
@@ -258,6 +265,43 @@ def test_refinement_converges_on_drug():
     assert iv.U == pytest.approx(0.52, abs=5e-3)
 
 
+def _recorded_solves(monkeypatch):
+    """Every lp.solve from now on, as (m, objective, sense, status)."""
+    calls = []
+    solve = lp.solve
+
+    def recording(program):
+        sol = solve(program)
+        calls.append((program.oracle.m, program.oracle.objective,
+                      program.sense, sol.status))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording)
+    return calls
+
+
+def test_refine_ladder_solves_each_grid_min_then_max(monkeypatch):
+    # an infeasible min skips its grid's max; the ladder stops at the
+    # first grid that moves neither endpoint by refine_tol
+    calls = _recorded_solves(monkeypatch)
+    solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04), GridSpec(16),
+                               refine=True, max_m=128, refine_tol=5e-3))
+    assert calls == [(16, "psi", "min", lp.INFEASIBLE)] + [
+        (m, "psi", sense, lp.OPTIMAL) for m in (32, 64, 128)
+        for sense in ("min", "max")]
+
+
+def test_refusal_diagnostics_ladder_f_then_g(monkeypatch):
+    # the fixed m=32 request is refused; each least budget then walks
+    # the ladder from the request's grid until its value settles
+    calls = _recorded_solves(monkeypatch)
+    with pytest.raises(InfeasibleBudgetError):
+        solve_bounds(_fixed(GOLF, 0.125, 0.03, 32))
+    assert calls == [(32, "psi", "min", lp.INFEASIBLE)] + [
+        (m, which, "min", lp.INFEASIBLE if m == 32 else lp.OPTIMAL)
+        for which in ("f", "g") for m in (32, 64, 128)]
+
+
 def test_refinement_skips_infeasible_levels():
     # m=25 cannot reproduce the golf table (0.25/m > p01); m=50 can
     iv = solve_bounds(BoundsRequest(GOLF, MomentBudget(0.125, 0.03),
@@ -326,6 +370,18 @@ def test_interval_always_within_unit_band():
         assert -1 - 1e-9 <= iv.L <= iv.U <= 1 + 1e-9
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_interval_within_manski_bounds_property(seed, m):
+    # with no budget, E[y1] lies in [p11, p11 + px0] and E[y0] in
+    # [p01, p01 + px1]; budgets can only narrow that
+    joint, budget, _ = random_grid_measure(np.random.default_rng(seed), m)
+    iv = solve_bounds(BoundsRequest(joint, budget, GridSpec(m), refine=False))
+    assert iv.L <= iv.U + 1e-9
+    assert joint.p11 - joint.p01 - joint.px1 - 1e-9 <= iv.L
+    assert iv.U <= joint.p11 + joint.px0 - joint.p01 + 1e-9
+
+
 # -- infeasibility and diagnostics ----------------------------------------------
 
 
@@ -333,26 +389,36 @@ def test_infeasible_budget_raises_with_diagnostics():
     with pytest.raises(InfeasibleBudgetError) as info:
         solve_bounds(_fixed(GOLF, 0.125, 0.03, 32))
     err = info.value
-    assert err.grid_m == 32
     # diagnostics explored refined grids, where tiny moments suffice
     assert err.minimal_f is not None and err.minimal_f < 0.125
     assert err.minimal_g is not None and err.minimal_g < 0.03
+
+
+def test_table_no_grid_represents_is_refused_without_diagnostics():
+    # p11 = 0 needs pi = 0 or r1 = 0, which no interior grid point has,
+    # so every grid fails the equalities and no least budget exists
+    zero = normalize(ContingencyTable(0, 10, 5, 85))
+    with pytest.raises(InfeasibleBudgetError) as info:
+        solve_bounds(BoundsRequest(zero, MomentBudget(0.05, 0.05), GridSpec(16),
+                                   refine=False, max_m=32))
+    assert info.value.minimal_f is None
+    assert info.value.minimal_g is None
 
 
 def test_equality_infeasible_for_boundary_table():
     # p01 below anything an m <= 8 interior grid can produce
     tiny = ObservedJoint(p11=0.3, p10=0.3, p01=1e-6, p00=0.399999)
     with pytest.raises(EqualityInfeasibleError):
-        minimal_budget(tiny, "f", 0.25, grid=GridSpec(4), max_m=8)
+        minimal_budget(_given_other(tiny, "f", 0.25, 4, max_m=8), "f")
 
 
 def test_minimal_budget_f_is_small_with_loose_g():
-    value = minimal_budget(DRUG, "f", 0.25, grid=GridSpec(16))
+    value = minimal_budget(_given_other(DRUG, "f", 0.25, 16), "f")
     assert 0.0 <= value < 1e-3
 
 
 def test_minimal_budget_golf_g_under_study_f():
-    value = minimal_budget(GOLF, "g", 0.125, grid=GridSpec(25), max_m=100)
+    value = minimal_budget(_given_other(GOLF, "g", 0.125, 25, max_m=100), "g")
     assert 0.0 <= value <= 0.03
 
 
@@ -368,7 +434,7 @@ def test_minimal_budget_tiny_g_f(monkeypatch):
         return sol
 
     monkeypatch.setattr(lp, "solve", recording)
-    value = minimal_budget(DRUG, "f", 1e-9, grid=GridSpec(64), max_m=128)
+    value = minimal_budget(_given_other(DRUG, "f", 1e-9, 64, max_m=128), "f")
     assert value == pytest.approx(6.01386904838e-4, abs=1e-9)
     assert len(iterations) == 2
     assert max(iterations) < 200
@@ -382,18 +448,18 @@ def test_minimal_budget_refuses_unexpected_lp_status(monkeypatch):
 
     monkeypatch.setattr(lp, "solve", unbounded)
     with pytest.raises(lp.SingularBasisError, match="unexpected LP status unbounded at grid m=16"):
-        minimal_budget(DRUG, "f", 0.25, grid=GridSpec(16))
+        minimal_budget(_given_other(DRUG, "f", 0.25, 16), "f")
 
 
 def test_minimal_budget_g_at_zero_f_is_zero():
-    assert minimal_budget(VACCINE, "g", 0.0) == 0.0
+    assert minimal_budget(_given_other(VACCINE, "g", 0.0, 16), "g") == 0.0
 
 
 def test_minimal_budget_validation():
     with pytest.raises(ValueError):
-        minimal_budget(GOLF, "h", 0.1)
-    with pytest.raises(ValueError):
-        minimal_budget(GOLF, "f", -0.1)
+        minimal_budget(_given_other(GOLF, "f", 0.1, 16), "h")
+    with pytest.raises(ValueError):  # MomentBudget refuses a negative bound
+        minimal_budget(_given_other(GOLF, "f", -0.1, 16), "f")
 
 
 def test_request_validation():

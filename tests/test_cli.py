@@ -96,6 +96,18 @@ def test_bounds_infeasible_budget_exits_2(capsys):
     assert "least feasible" in err
 
 
+def test_table_no_grid_represents_exits_2_without_diagnostics(capsys, tmp_path):
+    table = tmp_path / "t.tbl"
+    table.write_text("0 10 5 85\n")
+    code, out, err = run(capsys, "bounds", "--table", str(table),
+                         "--f", "0.05", "--g", "0.05")
+    assert code == 2
+    assert out == ""
+    # the whole of stderr: no least feasible budget and no traceback
+    assert err == ("error: no measure matches the table under f=0.05, "
+                   "g=0.05 on grids up to m=64\n")
+
+
 @pytest.mark.parametrize("cells,arm", [("0 0 5 95", "x=1"), ("5 95 0 0", "x=0")])
 @pytest.mark.parametrize("budget", [("--dx", "0.5", "--dy", "0.5"),
                                     ("--f", "0.03", "--g", "0.04")])
