@@ -2,18 +2,16 @@
 
 The identified interval for psi comes from minimizing and maximizing
 E[r1 - r0] over probability measures mu on the cube {(pi, r0, r1)},
-subject to four equality rows reproducing the observed joint, two
-second-moment budget rows, and normalization.  Measures are restricted
-to atoms on an interior midpoint grid, so the computed interval is an
-inner approximation of the continuum one.  Refinement doubles the grid,
-and midpoint grids do not nest under doubling ((k - 1/2)/m is no point
-of the 2m grid), so a finer level can narrow the interval as well as
-widen it.
+subject to four equality rows reproducing the observed joint and two
+second-moment budget rows.  Measures are restricted to atoms on an
+interior midpoint grid, so the computed interval is an inner
+approximation of the continuum one.  Refinement doubles the grid, and
+midpoint grids do not nest under doubling ((k - 1/2)/m is no point of
+the 2m grid), so a finer level can narrow the interval as well as widen
+it.
 
-Row order is fixed throughout: p01, p11, p00, p10, f, g, normalization.
-The normalization row is linearly dependent on the four equality rows
-(their coefficients sum to 1 at every grid point) and is kept explicit;
-the solver discovers and deletes the redundancy during phase 1.
+Row order is fixed throughout: p01, p11, p00, p10, f, g.  The cell
+rows' coefficients sum to 1 at every atom, so the weights do too.
 """
 from __future__ import annotations
 
@@ -149,7 +147,7 @@ class GridColumns:
         if row == 5:
             r = pi * r1 + (1 - pi) * r0
             return (r - j.py1) ** 2
-        return np.ones_like(pi + r0 + r1)
+        raise ValueError(f"no constraint row {row}")
 
     def _cost_values(self, pi, r0, r1):
         if self.objective == "psi":
@@ -165,11 +163,11 @@ class GridColumns:
         the curvature in (r0, r1) has the sign of c5.  The r1-free part P =
         a + b * r0 is built by the caller: `_plane` on the (m, m) paths, on
         the 4 corners only when price_min's score is concave."""
-        w = np.zeros(7)
+        w = np.zeros(6)
         w[rows] = y[rows]
         psi, f, g = (cost_sign * (self.objective == name) for name in ("psi", "f", "g"))
         pi, pi0 = self._pi, self._pi0
-        a = -w[2] * pi0 - w[3] * pi + (f - w[4]) * self._f_row - w[6]
+        a = -w[2] * pi0 - w[3] * pi + (f - w[4]) * self._f_row
         return a, (w[2] - w[0]) * pi0 - psi, (w[3] - w[1]) * pi + psi, g - w[5]
 
     def _plane(self, a, b):
@@ -253,7 +251,7 @@ class GridColumns:
 
 def _constraint_rows(joint: ObservedJoint, f: float | MomentBudget,
                      g: float | None = None):
-    """The seven rows, with f and g bounding the two moment rows.
+    """The six rows, with f and g bounding the two moment rows.
 
     A MomentBudget passed as f, with g left out, supplies both bounds.
     """
@@ -266,17 +264,13 @@ def _constraint_rows(joint: ObservedJoint, f: float | MomentBudget,
         ("eq", joint.p10),
         ("le", f),
         ("le", g),
-        ("eq", 1.0),
     )
 
 
 def _certificate(oracle: GridColumns, support) -> AtomicMeasure:
-    atoms = []
+    # the cell rows make the weights sum to 1 only up to round-off
     total = sum(w for _, w in support)
-    for j, w in support:
-        pi, r0, r1 = oracle.atom(j)
-        atoms.append((pi, r0, r1, w / total))
-    return AtomicMeasure(tuple(atoms))
+    return AtomicMeasure(tuple((*oracle.atom(j), w / total) for j, w in support))
 
 
 def _checked(sol: lp.LpSolution, m: int) -> lp.LpSolution | None:

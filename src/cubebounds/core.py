@@ -34,7 +34,9 @@ class ContingencyTable:
             raise ValueError("table cells must be finite numbers")
         if any(c < 0 for c in cells):
             raise ValueError("table cells must be nonnegative")
-        if sum(cells) <= 0:
+        if not math.isfinite(self.total):
+            raise ValueError("table total overflows to infinity")
+        if self.total <= 0:
             raise ValueError("table total must be positive")
 
     @property

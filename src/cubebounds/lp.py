@@ -6,7 +6,7 @@ simplex with on-demand column pricing.  Columns are supplied by an oracle
 to be materialized; a dense adapter covers small explicit problems.  The
 simplex keeps its basis matrix and basic costs itself, so each pivot asks
 the oracle for one column and one cost.  Bases have as many rows as the
-LP (seven for the bounds LPs), so the basis is inverted afresh after
+LP (six for the bounds LPs), so the basis is inverted afresh after
 every pivot and no inverse is ever updated in place.
 
 Conventions: variables are nonnegative weights; rows are "eq" or "le";

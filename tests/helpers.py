@@ -143,23 +143,6 @@ def random_grid_measure(rng, m):
     return joint, MomentBudget(f=f_tight + mf, g=g_tight + mg), (f_tight, g_tight)
 
 
-def psi_rows_without_norm(joint, budget):
-    """The six independent constraint rows of the measure LP.
-
-    The normalization row is implied by the four equalities (their
-    coefficients sum to 1 at every grid point), so enumeration oracles
-    drop it to keep the row set full-rank.
-    """
-    return (
-        ("eq", joint.p01),
-        ("eq", joint.p11),
-        ("eq", joint.p00),
-        ("eq", joint.p10),
-        ("le", budget.f),
-        ("le", budget.g),
-    )
-
-
 def grid_matrix(joint, m):
     """Dense (6, m^3) coefficient matrix and cost vector for the psi LP."""
     axis = (np.arange(1, m + 1) - 0.5) / m

@@ -33,11 +33,11 @@ from cubebounds import (
     solve_bounds,
 )
 from cubebounds import cli
+from cubebounds.bounds import _constraint_rows
 from helpers import (
     assert_certificate,
     bfs_optima,
     grid_matrix,
-    psi_rows_without_norm,
     random_grid_measure,
     random_lp,
 )
@@ -124,8 +124,7 @@ def test_06_bounds_match_basis_enumeration_on_tiny_grids():
     for m in cases:
         joint, budget, _ = random_grid_measure(rng, m)
         costs, matrix = grid_matrix(joint, m)
-        status, lo, hi = bfs_optima(costs, matrix,
-                                    psi_rows_without_norm(joint, budget))
+        status, lo, hi = bfs_optima(costs, matrix, _constraint_rows(joint, budget))
         assert status == "optimal"
         interval = solve_bounds(BoundsRequest(
             joint=joint, budget=budget, grid=GridSpec(m=m), refine=False))

@@ -61,10 +61,10 @@ def test_column_decode_and_coefficients():
     assert (pi, r0, r1) == (0.25, 0.75, 0.75)
     # p11-row coefficient at (0.25, 0.25, 0.75) is pi*r1 = 0.1875
     j = 0 * 4 + 0 * 2 + 1  # (0.25, 0.25, 0.75)
-    block = oracle.columns(np.array([j]), np.arange(7))
+    block = oracle.columns(np.array([j]), np.arange(6))
     assert block[1, 0] == pytest.approx(0.1875)
-    # normalization row is all ones
-    assert block[6, 0] == 1.0
+    with pytest.raises(ValueError):
+        oracle.columns(np.array([j]), [6])
 
 
 def test_equality_rows_sum_to_one_at_every_point():
@@ -78,9 +78,10 @@ def test_assemble_row_order_and_rhs():
     rows = _constraint_rows(GOLF, 0.125, 0.03)
     relations = [rel for rel, _ in rows]
     rhs = [value for _, value in rows]
-    assert relations == ["eq", "eq", "eq", "eq", "le", "le", "eq"]
+    assert relations == ["eq", "eq", "eq", "eq", "le", "le"]
     assert rhs[:4] == [0.005, 0.05, 0.495, 0.45]
-    assert rhs[4:] == [0.125, 0.03, 1.0]
+    assert rhs[4:] == [0.125, 0.03]
+    assert _constraint_rows(GOLF, MomentBudget(0.125, 0.03)) == rows
     assert GridColumns(GOLF, 4).n == 64
 
 
@@ -115,13 +116,13 @@ def test_pricing_matches_dense_columns():
             costs = oracle._cost_values(*oracle._decode(js))
             for j in js[::max(1, oracle.n // 50)]:
                 assert costs[j] == oracle.cost(j)
-            matrix = oracle.columns(js, np.arange(7))
+            matrix = oracle.columns(js, np.arange(6))
             dense = lp.DenseColumns(costs, matrix)
             for trial in range(20):
-                y = rng.normal(size=7)
+                y = rng.normal(size=6)
                 # y5 > 0 makes the g row concave in r1; cover both signs
                 y[5] = abs(y[5]) if trial % 2 else -abs(y[5])
-                rows = np.sort(rng.choice(7, size=int(rng.integers(2, 8)),
+                rows = np.sort(rng.choice(6, size=int(rng.integers(2, 7)),
                                           replace=False))
                 for sign in (0.0, 1.0, -1.0):
                     jg, vg = oracle.price_min(y, rows, sign)
@@ -134,9 +135,9 @@ def test_pricing_matches_dense_columns():
             # of this size; the score near the g row's zero set must keep
             # its digits relative to the terms it sums
             for y5 in (1e6, -1e6, 1e9, -1e9):
-                y = rng.normal(size=7)
+                y = rng.normal(size=6)
                 y[5] = y5
-                rows = np.arange(7)
+                rows = np.arange(6)
                 for sign in (0.0, 1.0, -1.0):
                     jg, vg = oracle.price_min(y, rows, sign)
                     jd, vd = dense.price_min(y, rows, sign)
@@ -148,15 +149,15 @@ def test_pricing_matches_dense_columns():
             # no curvature (y5 = 0, and no slope either when y1 = y3) and a
             # curvature too small to give a finite vertex
             for y5 in (0.0, 1e-320, -1e-320):
-                y = rng.normal(size=7)
+                y = rng.normal(size=6)
                 y[5] = y5
                 y[3] = y[1]
                 for sign in (0.0, 1.0, -1.0):
-                    jg, vg = oracle.price_min(y, np.arange(7), sign)
-                    jd, vd = dense.price_min(y, np.arange(7), sign)
+                    jg, vg = oracle.price_min(y, np.arange(6), sign)
+                    jd, vd = dense.price_min(y, np.arange(6), sign)
                     assert vg == pytest.approx(vd, abs=1e-12)
                     assert 0 <= jg < oracle.n
-                _assert_prices_with_both_signs(oracle, dense, matrix, y, np.arange(7))
+                _assert_prices_with_both_signs(oracle, dense, matrix, y, np.arange(6))
             if objective != "g":
                 continue
             # the sign split of price_min at its edge: c5 = cost_sign - y5
@@ -166,9 +167,9 @@ def test_pricing_matches_dense_columns():
                 edge = (sign, np.nextafter(sign, -2), np.nextafter(sign, 2)) if sign else (
                     0.0, -1e-300, 1e-300)
                 for y5 in edge:
-                    y = rng.normal(size=7)
+                    y = rng.normal(size=6)
                     y[5] = y5
-                    rows = np.arange(7)
+                    rows = np.arange(6)
                     jg, vg = oracle.price_min(y, rows, sign)
                     jd, vd = dense.price_min(y, rows, sign)
                     assert vg == pytest.approx(vd, abs=1e-12)
@@ -180,17 +181,17 @@ def test_pricing_matches_dense_columns():
 @given(cells=st.lists(st.integers(1, 10**5), min_size=4, max_size=4),
        m=st.integers(2, 9),
        objective=st.sampled_from(["psi", "f", "g"]),
-       rows=st.sets(st.integers(0, 6), min_size=1).map(sorted),
+       rows=st.sets(st.integers(0, 5), min_size=1).map(sorted),
        sign=st.sampled_from([0.0, 1.0, -1.0]),
-       y=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
-       y_again=st.lists(st.floats(-10, 10), min_size=7, max_size=7),
+       y=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+       y_again=st.lists(st.floats(-10, 10), min_size=6, max_size=6),
        y5=st.sampled_from([0.0, 1e-320, -1e-320, 1.0, -1.0, 1e9, -1e9]))
 def test_pricing_matches_dense_columns_property(cells, m, objective, rows,
                                                 sign, y, y_again, y5):
     joint = normalize(ContingencyTable(*cells))
     oracle = GridColumns(joint, m, objective=objective)
     costs = np.array([oracle.cost(j) for j in range(oracle.n)])
-    matrix = oracle.columns(np.arange(oracle.n), np.arange(7))
+    matrix = oracle.columns(np.arange(oracle.n), np.arange(6))
     dense = lp.DenseColumns(costs, matrix)
     rows = np.array(rows)
 
@@ -300,6 +301,49 @@ def test_refusal_diagnostics_ladder_f_then_g(monkeypatch):
     assert calls == [(32, "psi", "min", lp.INFEASIBLE)] + [
         (m, which, "min", lp.INFEASIBLE if m == 32 else lp.OPTIMAL)
         for which in ("f", "g") for m in (32, 64, 128)]
+
+
+def test_no_grid_lp_deletes_a_row(monkeypatch):
+    # the cell rows sum to 1 at every atom, so no normalization row is
+    # built and phase 1 finds no dependent row to delete; with the ones
+    # row appended, the dense seven-row LP has the same optimum
+    programs = []
+    solve = lp.solve
+
+    def recording(program):
+        sol = solve(program)
+        programs.append((program, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording)
+    rng = np.random.default_rng(43)
+    requests = [_fixed(GOLF, 0.125, 0.03, 50), _fixed(DRUG, 0.03, 0.04, 64),
+                _fixed(VACCINE, 0.01, 0.01, 64), _fixed(GOLF, 0.125, 0.03, 32)]
+    requests += [BoundsRequest(joint, budget, GridSpec(m), refine=False)
+                 for m in (3, 4, 5, 8) for joint, budget, _ in
+                 (random_grid_measure(rng, m) for _ in range(3))]
+    for req in requests:
+        try:
+            solve_bounds(req)
+        except InfeasibleBudgetError:
+            pass  # the refusal's diagnostics solve grid LPs too
+    assert len(programs) >= 2 * len(requests)
+    dense_checked = 0
+    for program, sol in programs:
+        assert sol.deleted_rows == ()
+        assert len(program.rows) == 6
+        oracle = program.oracle
+        if oracle.m > 5 or sol.status != lp.OPTIMAL:
+            continue
+        js = np.arange(oracle.n)
+        matrix = np.vstack([oracle.columns(js, np.arange(6)), np.ones(oracle.n)])
+        dense = solve(lp.LinearProgram(
+            program.sense, lp.DenseColumns(oracle._cost_values(*oracle._decode(js)), matrix),
+            program.rows + (("eq", 1.0),)))
+        assert dense.status == lp.OPTIMAL
+        assert dense.objective == pytest.approx(sol.objective, abs=1e-12)
+        dense_checked += 1
+    assert dense_checked >= 18
 
 
 def test_refinement_skips_infeasible_levels():

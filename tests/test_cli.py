@@ -242,6 +242,17 @@ def test_non_finite_inputs_exit_1(capsys, tmp_path):
     assert "moment budgets must be finite" in err
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_overflowing_table_total_exits_1(capsys, tmp_path, json_flag):
+    table = tmp_path / "t.tbl"
+    table.write_text("1e308 1e308 1 1\n")
+    code, out, err = run(capsys, "bounds", "--table", str(table),
+                         "--f", "0.01", "--g", "0.01", *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {table}: table total overflows to infinity\n"
+
+
 def test_bad_table_file_exits_1_with_line_number(capsys, tmp_path):
     bad = tmp_path / "bad.tbl"
     bad.write_text("1 2\nthree 4\n")

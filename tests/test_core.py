@@ -37,6 +37,12 @@ def test_table_rejects_non_finite_cells():
             ContingencyTable(n11=bad, n10=2, n01=3, n00=4)
 
 
+def test_table_rejects_overflowing_total():
+    # each cell is finite, but their sum is not
+    with pytest.raises(ValueError, match="total overflows"):
+        ContingencyTable(n11=1e308, n10=1e308, n01=1, n00=1)
+
+
 def test_frequency_detection():
     assert ContingencyTable(0.05, 0.45, 0.005, 0.495).is_frequencies
     assert not ContingencyTable(978, 1864, 114, 3649).is_frequencies

@@ -6,7 +6,7 @@ from cubebounds import lp
 from cubebounds.bounds import GridColumns, _constraint_rows
 from cubebounds.core import ObservedJoint
 
-from helpers import bfs_optima, random_lp
+from helpers import bfs_optima, grid_matrix, random_grid_measure, random_lp
 
 
 def _solve(sense, costs, matrix, rows):
@@ -234,6 +234,15 @@ def _kept_basis_programs():
         oracle = GridColumns(GOLF, 50, objective)
         for sense in ("min", "max") if objective == "psi" else ("min",):
             programs.append(lp.LinearProgram(sense, oracle, _constraint_rows(GOLF, f, g)))
+    # the grid LP with the normalization row its cell rows imply: phase 1
+    # finds the dependent row and deletes it
+    for m in (3, 4, 5):
+        joint, budget, _ = random_grid_measure(rng, m)
+        costs, matrix = grid_matrix(joint, m)
+        oracle = lp.DenseColumns(costs, np.vstack([matrix, np.ones(m ** 3)]))
+        rows = _constraint_rows(joint, budget) + (("eq", 1.0),)
+        for sense in ("min", "max"):
+            programs.append(lp.LinearProgram(sense, oracle, rows))
     return programs
 
 
