@@ -4,9 +4,10 @@ Subcommands: bounds (identified interval and optional tau shift),
 calibrate (discrimination fractions to moment budgets), simulate
 (coverage experiment against the simulator's oracle), decompose
 (per-profile bias split).  Inputs come from flags, a JSON config file,
-or both (flags win).  Each subcommand returns one report dict; main
-writes it as canonical JSON (full precision, sorted keys) with --json,
-and otherwise as text (4 decimals) rendered from that dict alone.
+or both: flags win, except that a K flag beside a config k is refused.
+Each subcommand returns one report dict; main writes it as canonical
+JSON (full precision, sorted keys) with --json, and otherwise as text
+(4 decimals) rendered from that dict alone.
 
 Exit codes: 0 success, 1 input error, 2 infeasible budget, 3 solver
 failure (iteration limit or singular basis).
@@ -18,7 +19,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import lp, sim
@@ -74,9 +74,12 @@ def _table_from_values(values, origin: str) -> ContingencyTable:
     if len(values) != 4:
         raise CliError(f"{origin}: expected 4 cell values "
                        f"(n11 n10 n01 n00), got {len(values)}")
+    for value in values:  # float() would take True as 1 and "978" as 978
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CliError(f"{origin}: expected a number, got {value!r}")
     try:
         return ContingencyTable(*(float(v) for v in values))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(f"{origin}: {exc}")
 
 
@@ -162,21 +165,106 @@ def _read_profiles(path: str):
     return profiles, (weights if weighted else None)
 
 
-# -- config/flag resolution ---------------------------------------------------
+# -- config/flag resolution: one helper per setting ---------------------------
 
-@dataclass
-class _Analysis:
-    table: ContingencyTable
-    joint: ObservedJoint
-    budget_mode: str | None      # "explicit" | "discrimination"
-    budget: MomentBudget | None  # calibrated in discrimination mode
-    d_x: float | None
-    d_y: float | None
-    k_mode: str | None           # "point" (k_min == k_max) | "range" | None
-    k_min: float                 # K, the request and published_rd are
-    k_max: float                 # built for bounds alone
-    request: BoundsRequest | None  # None also when no budget is given
-    published_rd: float | None
+def _config(args) -> tuple[dict, str, Path]:
+    """(cfg, origin, cfg_dir) of --config; an empty config without one."""
+    if not args.config:
+        return {}, "config", Path(".")
+    cfg = _load_json(args.config)
+    _check_keys(cfg, {"table", "budget", "k", "grid",
+                      "published_risk_difference"}, args.config)
+    return cfg, args.config, Path(args.config).parent
+
+
+def _table(args, cfg: dict, origin: str, cfg_dir: Path) -> ContingencyTable:
+    """--table, else the config's table: a path or an inline 4-value list."""
+    if args.table:
+        return _read_table_file(args.table)
+    if "table" not in cfg:
+        raise CliError("no table given (use --table or a config with one)")
+    spec = cfg["table"]
+    if isinstance(spec, str):
+        return _read_table_file(str(cfg_dir / spec))
+    if isinstance(spec, list):
+        return _table_from_values(spec, f"{origin}: table")
+    raise CliError(f"{origin}: table must be a path or a 4-value list")
+
+
+def _budget_spec(args, cfg: dict, origin: str) -> tuple:
+    """(mode, budget, d_x, d_y) from the flags, else the config; in
+    "discrimination" mode the budget is None until the caller calibrates."""
+    flag_fg = args.f is not None or args.g is not None
+    flag_d = args.dx is not None or args.dy is not None
+    if flag_fg and flag_d:
+        raise CliError("give either --f/--g or --dx/--dy, not both")
+    if flag_fg:
+        if args.f is None or args.g is None:
+            raise CliError("--f and --g must be given together")
+        return "explicit", _budget(args.f, args.g, "flags"), None, None
+    if flag_d:
+        if args.dx is None or args.dy is None:
+            raise CliError("--dx and --dy must be given together")
+        return "discrimination", None, args.dx, args.dy
+    if "budget" not in cfg:
+        return None, None, None, None
+    spec = cfg["budget"]
+    if not isinstance(spec, dict):
+        raise CliError(f"{origin}: budget must be an object")
+    if set(spec) == {"f", "g"}:
+        return "explicit", _budget(_number(spec["f"], f"{origin}: budget.f"),
+                                   _number(spec["g"], f"{origin}: budget.g"),
+                                   origin), None, None
+    if set(spec) == {"d_x", "d_y"}:
+        return ("discrimination", None,
+                _number(spec["d_x"], f"{origin}: budget.d_x"),
+                _number(spec["d_y"], f"{origin}: budget.d_y"))
+    raise CliError(f"{origin}: budget needs exactly the keys "
+                   f"{{f, g}} or {{d_x, d_y}}")
+
+
+def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, float, float]:
+    """(k_mode, k_min, k_max) from at most one K specification.  The flags
+    are read as the config's forms, --k as a number and --k-min/--k-max as
+    a {min, max} object, so one parser checks every source."""
+    given = {}
+    if args.k is not None:
+        given["--k"] = args.k
+    k_range = {side: value for side, value in zip(("min", "max"), (args.k_min, args.k_max))
+               if value is not None}
+    if k_range:
+        given["--k-min/--k-max"] = k_range
+    if "k" in cfg:
+        given["config k"] = cfg["k"]
+    if len(given) > 1:
+        raise CliError(f"multiple K specifications: {', '.join(given)}")
+    if not given:
+        return None, -math.inf, math.inf
+    spec, = given.values()
+    k_min, k_max = -math.inf, math.inf
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
+        k_mode, k_min = "point", _number(spec, f"{origin}: k")
+    elif isinstance(spec, dict) and "profiles" in spec:
+        _check_keys(spec, {"profiles"}, f"{origin}: k")
+        profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
+        k_mode, k_min = "point", population_k(profiles, weights)
+    elif isinstance(spec, dict):
+        _check_keys(spec, {"min", "max"}, f"{origin}: k")
+        if not spec:
+            raise CliError(f"{origin}: k range needs min and/or max")
+        k_mode = "range"
+        if "min" in spec:
+            k_min = _number(spec["min"], f"{origin}: k.min")
+        if "max" in spec:
+            k_max = _number(spec["max"], f"{origin}: k.max")
+    else:
+        raise CliError(f"{origin}: k must be a number, a min/max object, "
+                       f"or a profiles object")
+    if k_mode == "point":
+        k_max = k_min
+    if k_min > k_max:
+        raise CliError("k min exceeds k max")
+    return k_mode, k_min, k_max
 
 
 def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
@@ -186,140 +274,27 @@ def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
     return GridSpec(DEFAULT_GRID_M if m is None else m)
 
 
-def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, float, float]:
-    """(k_mode, k_min, k_max) from the flags or the config: at most one
-    of a point, a range and a profiles file."""
-    k_given = [name for name, flag in (("--k", args.k is not None),
-                                       ("--k-min/--k-max",
-                                        args.k_min is not None or args.k_max is not None),
-                                       ("config k", "k" in cfg)) if flag]
-    if len(k_given) > 1:
-        raise CliError(f"multiple K specifications: {', '.join(k_given)}")
-    k_mode = None
-    k_min, k_max = -math.inf, math.inf
-    if args.k is not None:
-        k_mode, k_min = "point", args.k
-    elif args.k_min is not None or args.k_max is not None:
-        k_mode = "range"
-        k_min = -math.inf if args.k_min is None else args.k_min
-        k_max = math.inf if args.k_max is None else args.k_max
-    elif "k" in cfg:
-        spec = cfg["k"]
-        if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-            k_mode, k_min = "point", _number(spec, f"{origin}: k")
-        elif isinstance(spec, dict) and "profiles" in spec:
-            _check_keys(spec, {"profiles"}, f"{origin}: k")
-            profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
-            k_mode, k_min = "point", population_k(profiles, weights)
-        elif isinstance(spec, dict):
-            _check_keys(spec, {"min", "max"}, f"{origin}: k")
-            if not spec:
-                raise CliError(f"{origin}: k range needs min and/or max")
-            k_mode = "range"
-            if "min" in spec:
-                k_min = _number(spec["min"], f"{origin}: k.min")
-            if "max" in spec:
-                k_max = _number(spec["max"], f"{origin}: k.max")
-        else:
-            raise CliError(f"{origin}: k must be a number, a min/max object, "
-                           f"or a profiles object")
-    if k_mode == "point":
-        k_max = k_min
-    if k_min > k_max:
-        raise CliError("k min exceeds k max")
-    return k_mode, k_min, k_max
-
-
-def _resolve(args) -> _Analysis:
-    cfg = _load_json(args.config) if getattr(args, "config", None) else {}
-    origin = getattr(args, "config", None) or "config"
-    cfg_dir = Path(args.config).parent if getattr(args, "config", None) else Path(".")
-    _check_keys(cfg, {"table", "budget", "k", "grid",
-                      "published_risk_difference"}, origin)
-
-    # table: flag path wins over config (path or inline 4 values)
-    if getattr(args, "table", None):
-        table = _read_table_file(args.table)
-    elif "table" in cfg:
-        spec = cfg["table"]
-        if isinstance(spec, str):
-            table = _read_table_file(str(cfg_dir / spec))
-        elif isinstance(spec, list):
-            table = _table_from_values(spec, f"{origin}: table")
-        else:
-            raise CliError(f"{origin}: table must be a path or a 4-value list")
-    else:
-        raise CliError("no table given (use --table or a config with one)")
-    joint = normalize(table)
-
-    # budget: exactly one mode among explicit (f, g) and discrimination
-    flag_fg = args.f is not None or args.g is not None
-    flag_d = args.dx is not None or args.dy is not None
-    if flag_fg and flag_d:
-        raise CliError("give either --f/--g or --dx/--dy, not both")
-    budget_mode = budget = d_x = d_y = None
-    if flag_fg:
-        if args.f is None or args.g is None:
-            raise CliError("--f and --g must be given together")
-        budget_mode, budget = "explicit", _budget(args.f, args.g, "flags")
-    elif flag_d:
-        if args.dx is None or args.dy is None:
-            raise CliError("--dx and --dy must be given together")
-        budget_mode, d_x, d_y = "discrimination", args.dx, args.dy
-    elif "budget" in cfg:
-        spec = cfg["budget"]
-        if not isinstance(spec, dict):
-            raise CliError(f"{origin}: budget must be an object")
-        keys = set(spec)
-        if keys == {"f", "g"}:
-            budget_mode = "explicit"
-            budget = _budget(_number(spec["f"], f"{origin}: budget.f"),
-                             _number(spec["g"], f"{origin}: budget.g"), origin)
-        elif keys == {"d_x", "d_y"}:
-            budget_mode = "discrimination"
-            d_x = _number(spec["d_x"], f"{origin}: budget.d_x")
-            d_y = _number(spec["d_y"], f"{origin}: budget.d_y")
-        else:
-            raise CliError(f"{origin}: budget needs exactly the keys "
-                           f"{{f, g}} or {{d_x, d_y}}")
-
-    # K, the grid and the published contrast, which only bounds reads: see
-    # _grid for the order of the grid; the refine flag only enables, and
-    # refine_tol and max_m are passed only when the config sets them, so
-    # their defaults live in BoundsRequest alone
-    k_mode, k_min, k_max = None, -math.inf, math.inf
-    grid = refine = published = None
-    ladder = {}
-    if args.command == "bounds":
-        k_mode, k_min, k_max = _k_spec(args, cfg, origin, cfg_dir)
-        gcfg = cfg.get("grid", {})
-        if not isinstance(gcfg, dict):
-            raise CliError(f"{origin}: grid must be an object")
-        _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
-        configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
-                        if "m" in gcfg else None)
-        grid = _grid(args.grid_m, configured_m)
-        refine = gcfg.get("refine", False)
-        if not isinstance(refine, bool):
-            raise CliError(f"{origin}: grid.refine: expected true or false, "
-                           f"got {refine!r}")
-        refine = args.refine or refine
-        if "refine_tol" in gcfg:
-            ladder["refine_tol"] = _number(gcfg["refine_tol"], f"{origin}: grid.refine_tol")
-        if "max_m" in gcfg:
-            ladder["max_m"] = _integer(gcfg["max_m"], f"{origin}: grid.max_m")
-        if "published_risk_difference" in cfg:
-            published = _number(cfg["published_risk_difference"],
-                                f"{origin}: published_risk_difference")
-
-    if budget_mode == "discrimination":
-        budget = calibrate_budget(joint, d_x, d_y)
-    request = (BoundsRequest(joint, budget, grid, refine=refine, **ladder)
-               if grid is not None and budget is not None else None)
-    return _Analysis(table=table, joint=joint, budget_mode=budget_mode,
-                     budget=budget, d_x=d_x, d_y=d_y, k_mode=k_mode,
-                     k_min=k_min, k_max=k_max, request=request,
-                     published_rd=published)
+def _ladder_spec(args, cfg: dict, origin: str) -> dict:
+    """BoundsRequest's grid arguments.  --refine only enables, and
+    refine_tol and max_m are passed only when the config sets them, so
+    their defaults live in BoundsRequest alone."""
+    gcfg = cfg.get("grid", {})
+    if not isinstance(gcfg, dict):
+        raise CliError(f"{origin}: grid must be an object")
+    _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
+    configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
+                    if "m" in gcfg else None)
+    spec = {"grid": _grid(args.grid_m, configured_m)}
+    refine = gcfg.get("refine", False)
+    if not isinstance(refine, bool):
+        raise CliError(f"{origin}: grid.refine: expected true or false, "
+                       f"got {refine!r}")
+    spec["refine"] = args.refine or refine
+    if "refine_tol" in gcfg:
+        spec["refine_tol"] = _number(gcfg["refine_tol"], f"{origin}: grid.refine_tol")
+    if "max_m" in gcfg:
+        spec["max_m"] = _integer(gcfg["max_m"], f"{origin}: grid.max_m")
+    return spec
 
 
 def _budget(f: float, g: float, origin: str) -> MomentBudget:
@@ -384,32 +359,43 @@ def _risk_lines(risks: dict, published: float | None) -> list[str]:
 # -- subcommands: each returns its report; a *_text function renders it ------
 
 def cmd_bounds(args) -> dict:
-    a = _resolve(args)
-    if a.budget_mode is None:
+    cfg, origin, cfg_dir = _config(args)
+    table = _table(args, cfg, origin, cfg_dir)
+    joint = normalize(table)
+    mode, budget, d_x, d_y = _budget_spec(args, cfg, origin)
+    k_mode, k_min, k_max = _k_spec(args, cfg, origin, cfg_dir)
+    ladder = _ladder_spec(args, cfg, origin)
+    published = (_number(cfg["published_risk_difference"],
+                         f"{origin}: published_risk_difference")
+                 if "published_risk_difference" in cfg else None)
+    if mode is None:
         raise CliError("no budget given (use --f/--g, --dx/--dy, or a config)")
-    iv = solve_bounds(a.request)
+    if mode == "discrimination":
+        budget = calibrate_budget(joint, d_x, d_y)
+    request = BoundsRequest(joint, budget, **ladder)
+    iv = solve_bounds(request)
     report = {
-        "table": _table_dict(a.table),
-        "joint": _joint_dict(a.joint),
-        "risks": _risks(a.joint),
-        "budget": {"f": a.budget.f, "g": a.budget.g, "mode": a.budget_mode,
-                   "d_x": a.d_x, "d_y": a.d_y},
-        "grid": {"m_start": a.request.grid.m, "m_final": iv.grid_resolution,
-                 "refine": a.request.refine, "converged": iv.converged},
+        "table": _table_dict(table),
+        "joint": _joint_dict(joint),
+        "risks": _risks(joint),
+        "budget": {"f": budget.f, "g": budget.g, "mode": mode,
+                   "d_x": d_x, "d_y": d_y},
+        "grid": {"m_start": request.grid.m, "m_final": iv.grid_resolution,
+                 "refine": request.refine, "converged": iv.converged},
         "interval": {"L": iv.L, "U": iv.U, "width": iv.width},
         "certificates": {
             "min": [list(atom) for atom in iv.certificate_min.support()],
             "max": [list(atom) for atom in iv.certificate_max.support()],
         },
     }
-    if a.published_rd is not None:
-        report["published_risk_difference"] = a.published_rd
-    if a.k_mode is not None:
-        sr = shift_interval_range(iv, a.k_min, a.k_max)
-        ends = ({"K": sr.k_min} if a.k_mode == "point"
+    if published is not None:
+        report["published_risk_difference"] = published
+    if k_mode is not None:
+        sr = shift_interval_range(iv, k_min, k_max)
+        ends = ({"K": sr.k_min} if k_mode == "point"
                 else {"k_min": sr.k_min, "k_max": sr.k_max})
         # an open side of a K range leaves a side of tau open: null in JSON
-        report["tau"] = {"mode": a.k_mode, **{
+        report["tau"] = {"mode": k_mode, **{
             key: None if math.isinf(value) else value
             for key, value in dict(ends, lower=sr.lower, upper=sr.upper).items()}}
     return report
@@ -455,12 +441,16 @@ def _tau_line(tau: dict) -> str:
 
 
 def cmd_calibrate(args) -> dict:
-    a = _resolve(args)
-    if a.budget_mode != "discrimination":
+    cfg, origin, cfg_dir = _config(args)
+    table = _table(args, cfg, origin, cfg_dir)
+    joint = normalize(table)
+    mode, _, d_x, d_y = _budget_spec(args, cfg, origin)
+    if mode != "discrimination":
         raise CliError("calibrate needs discrimination fractions "
                        "(--dx/--dy or a config with budget.d_x/d_y)")
-    return {"table": _table_dict(a.table), "joint": _joint_dict(a.joint),
-            "d_x": a.d_x, "d_y": a.d_y, "f": a.budget.f, "g": a.budget.g}
+    budget = calibrate_budget(joint, d_x, d_y)
+    return {"table": _table_dict(table), "joint": _joint_dict(joint),
+            "d_x": d_x, "d_y": d_y, "f": budget.f, "g": budget.g}
 
 
 def _calibrate_text(report: dict) -> list[str]:
@@ -482,20 +472,29 @@ def _version_model(spec: dict, index: int, origin: str) -> tuple[sim.VersionMode
     for key in ("share", "versions", "dist", "rule", "outcome"):
         if key not in spec:
             raise CliError(f"{name}: missing key {key!r}")
+
+    def listed(values, key: str) -> list:
+        if not isinstance(values, list):  # str() would split "oo" into versions
+            raise CliError(f"{name}: {key}: expected a list, got {values!r}")
+        return values
+
+    def numbers(values, key: str) -> tuple[float, ...]:  # refuses True and "1"
+        return tuple(_number(v, f"{name}: {key}") for v in listed(values, key))
+
     try:
         model = sim.VersionModel(
-            versions=tuple(str(v) for v in spec["versions"]),
-            version_dist=tuple(float(v) for v in spec["dist"]),
-            natural_treatment=tuple(float(v) for v in spec["rule"]),
-            outcome_prob=tuple((float(p[0]), float(p[1]))
-                               for p in spec["outcome"]),
-            dist_under_0=(tuple(float(v) for v in spec["dist_under_0"])
+            versions=tuple(str(v) for v in listed(spec["versions"], "versions")),
+            version_dist=numbers(spec["dist"], "dist"),
+            natural_treatment=numbers(spec["rule"], "rule"),
+            outcome_prob=tuple(numbers(p, "outcome")
+                               for p in listed(spec["outcome"], "outcome")),
+            dist_under_0=(numbers(spec["dist_under_0"], "dist_under_0")
                           if "dist_under_0" in spec else None),
-            dist_under_1=(tuple(float(v) for v in spec["dist_under_1"])
+            dist_under_1=(numbers(spec["dist_under_1"], "dist_under_1")
                           if "dist_under_1" in spec else None),
             label=str(spec.get("label", "")),
         )
-    except (TypeError, ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise CliError(f"{name}: {exc}")
     return model, _number(spec["share"], f"{name}: share")
 

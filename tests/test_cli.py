@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cubebounds import cli, lp
+from cubebounds import cli, lp, sim
 from cubebounds.bounds import IterationLimitError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -22,6 +22,11 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def refuse_call(*args, **kwargs):
+    """Stands in for a solver that a refused input must never reach."""
+    raise AssertionError("an input error reached the solver")
 
 
 # -- bounds ----------------------------------------------------------------------
@@ -286,6 +291,42 @@ def test_conflicting_k_modes_exit_1(capsys):
     assert "multiple K specifications" in err
 
 
+def test_k_flag_beside_config_k_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    code, out, err = run(capsys, "bounds", "--config",
+                         str(FIXTURES / "golf.json"), "--k", "0.1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: multiple K specifications: --k, config k\n"
+
+
+def test_k_range_flags_out_of_order_exit_1_before_any_solve(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    code, out, err = run(capsys, "bounds", "--table", str(FIXTURES / "drug.tbl"),
+                         "--f", "0.03", "--g", "0.04",
+                         "--k-min", "0.1", "--k-max", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: k min exceeds k max\n"
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("cells", [[True, False, 5, 5],
+                                   ["978", "1864", "114", "3649"]],
+                         ids=["booleans", "strings"])
+def test_inline_table_refuses_non_number_cells(capsys, tmp_path, monkeypatch,
+                                               cells, json_flag):
+    # float() would read True as 1 and "978" as 978
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"table": cells,
+                               "budget": {"f": 0.03, "g": 0.04}}))
+    code, out, err = run(capsys, "bounds", "--config", str(cfg), *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {cfg}: table: expected a number, got {cells[0]!r}\n"
+
+
 def test_unknown_config_key_exits_1(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"table": [1, 1, 1, 1], "budgets": {"f": 0.1}}')
@@ -522,6 +563,36 @@ def test_simulate_invalid_spec_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", str(bad), "--runs", "1")
     assert code == 1
     assert "version_dist" in err
+
+
+@pytest.mark.parametrize("fields, expected", [
+    # a row of three must not lose its third entry
+    ({"outcome": [[0.03, 0.1, 0.9], [0.01, 0.02, 0.7]]},
+     "outcome_prob entries must be [0, 1] pairs"),
+    ({"outcome": [[0.03, True], [0.01, 0.02]]},
+     "outcome: expected a finite number, got True"),
+    ({"rule": [True, False]}, "rule: expected a finite number, got True"),
+    ({"dist": ["0.5", "0.5"]}, "dist: expected a finite number, got '0.5'"),
+    # a string must not split into one version per character
+    ({"versions": "oo"}, "versions: expected a list, got 'oo'"),
+    ({"dist_under_0": [True, False], "dist_under_1": [0.5, 0.5]},
+     "dist_under_0: expected a finite number, got True"),
+    ({"dist_under_0": [0.5, 0.5], "dist_under_1": ["1", 0]},
+     "dist_under_1: expected a finite number, got '1'"),
+], ids=["outcome-row-length", "outcome-boolean", "rule-boolean",
+        "dist-string", "versions-string", "dist_under_0-boolean",
+        "dist_under_1-string"])
+def test_simulate_refuses_malformed_type_entries(capsys, tmp_path, monkeypatch,
+                                                 fields, expected):
+    monkeypatch.setattr(sim, "coverage_experiment", refuse_call)
+    spec = json.loads((FIXTURES / "golf_toy.json").read_text())
+    spec["types"][0].update(fields)
+    bad = tmp_path / "spec.json"
+    bad.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "simulate", str(bad), "--runs", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {bad}: types[0]: {expected}\n"
 
 
 # -- decompose -------------------------------------------------------------------
