@@ -116,6 +116,7 @@ class GridColumns:
         self._f_row = (self._pi - joint.px1) ** 2  # the f row's coefficient
         self._mix0 = self._pi0 * self.axis[None, :]  # the r0 term of the outcome mean
         self._vbase = (self._mix0 - joint.py1) * (m / self._pi)
+        # reused: fresh (m, m) temporaries per call page-fault, doubling refine's wall time
         self._planes = np.empty((4, m, m))  # scratch: r1 index, P, score, temporary
         ends = [0, m - 1]  # the corners of the (r0, r1) square
         self._corner_r0 = self.axis[ends]
@@ -132,29 +133,10 @@ class GridColumns:
         m = self.m
         return self.axis[js // (m * m)], self.axis[(js // m) % m], self.axis[js % m]
 
-    def _row_values(self, row: int, pi, r0, r1):
-        j = self.joint
-        if row == 0:
-            return (1 - pi) * r0
-        if row == 1:
-            return pi * r1
-        if row == 2:
-            return (1 - pi) * (1 - r0)
-        if row == 3:
-            return pi * (1 - r1)
-        if row == 4:
-            return (pi - j.px1) ** 2
-        if row == 5:
-            r = pi * r1 + (1 - pi) * r0
-            return (r - j.py1) ** 2
-        raise ValueError(f"no constraint row {row}")
-
     def _cost_values(self, pi, r0, r1):
         if self.objective == "psi":
             return r1 - r0
-        if self.objective == "f":
-            return self._row_values(4, pi, r0, r1)
-        return self._row_values(5, pi, r0, r1)
+        return _row_values(self.joint, pi, r0, r1)[4 if self.objective == "f" else 5]
 
     def _coefficients(self, y, rows, cost_sign):
         """(a, b, L, c5) with score cost_sign * c - y . A = a + b * r0 + L * r1
@@ -220,9 +202,11 @@ class GridColumns:
         return float(self._cost_values(pi, r0, r1)[0])
 
     def columns(self, js, rows):
-        js = np.asarray(js)
-        pi, r0, r1 = self._decode(js)
-        return np.stack([self._row_values(row, pi, r0, r1) for row in rows])
+        values = _row_values(self.joint, *self._decode(np.asarray(js)))
+        for row in rows:  # a negative index would wrap around
+            if not 0 <= row < len(values):
+                raise ValueError(f"no constraint row {row}")
+        return np.stack([values[row] for row in rows])
 
     def price_min(self, y, rows, cost_sign):
         a, b, L, c5 = self._coefficients(y, rows, cost_sign)
@@ -247,6 +231,18 @@ class GridColumns:
     def atom(self, j: int) -> tuple[float, float, float]:
         pi, r0, r1 = self._decode(np.array([j]))
         return float(pi[0]), float(r0[0]), float(r1[0])
+
+
+def _row_values(joint: ObservedJoint, pi, r0, r1) -> tuple:
+    """The six rows' coefficients at atoms (pi, r0, r1), in row order."""
+    return (
+        (1 - pi) * r0,
+        pi * r1,
+        (1 - pi) * (1 - r0),
+        pi * (1 - r1),
+        (pi - joint.px1) ** 2,
+        (pi * r1 + (1 - pi) * r0 - joint.py1) ** 2,
+    )
 
 
 def _constraint_rows(joint: ObservedJoint, f: float | MomentBudget,
@@ -324,18 +320,12 @@ def _pinned_interval(req: BoundsRequest) -> IdentifiedInterval:
     # rows then pin the mean conditional prognoses at the observed
     # conditional risks, collapsing the interval to the risk difference.
     # No interior grid can place pi exactly at Pr(x=1), so this case is
-    # solved in closed form rather than by the LP.
+    # solved in closed form rather than by the LP: one atom of the closed
+    # cube at (Pr(x=1), Pr(y=1|x=0), Pr(y=1|x=1)) reproduces every cell.
     joint = req.joint
     r1 = risk_x1(joint)
     r0 = risk_x0(joint)
-    tiny = 1e-9
-    atom = (
-        float(np.clip(joint.px1, tiny, 1 - tiny)),
-        float(np.clip(r0, tiny, 1 - tiny)),
-        float(np.clip(r1, tiny, 1 - tiny)),
-        1.0,
-    )
-    cert = AtomicMeasure((atom,))
+    cert = AtomicMeasure(((joint.px1, r0, r1, 1.0),))
     point = r1 - r0
     return IdentifiedInterval(L=point, U=point, certificate_min=cert,
                               certificate_max=cert,

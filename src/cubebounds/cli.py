@@ -32,12 +32,9 @@ from .bounds import (
 )
 from .core import (
     ContingencyTable,
-    DegenerateTableError,
     MomentBudget,
     ObservedJoint,
     normalize,
-    relative_risk,
-    risk_difference,
     risk_x0,
     risk_x1,
 )
@@ -79,7 +76,7 @@ def _table_from_values(values, origin: str) -> ContingencyTable:
             raise CliError(f"{origin}: expected a number, got {value!r}")
     try:
         return ContingencyTable(*(float(v) for v in values))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an integer too large for a float
         raise CliError(f"{origin}: {exc}")
 
 
@@ -113,8 +110,10 @@ def _check_keys(mapping: dict, allowed: set, origin: str) -> None:
 
 
 def _number(value, origin: str) -> float:
+    # an int compares exactly, where math.isfinite would overflow converting
+    # one too large for a float; NaN fails the comparison
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise CliError(f"{origin}: expected a finite number, got {value!r}")
     return float(value)
 
@@ -321,15 +320,9 @@ def _joint_dict(joint: ObservedJoint) -> dict:
 
 
 def _risks(joint: ObservedJoint) -> dict:
-    try:
-        r1, r0 = risk_x1(joint), risk_x0(joint)
-    except DegenerateTableError:
-        return {"risk_x1": None, "risk_x0": None,
-                "risk_difference": None, "relative_risk": None}
-    rr = relative_risk(joint)
-    return {"risk_x1": r1, "risk_x0": r0,
-            "risk_difference": risk_difference(joint),
-            "relative_risk": None if math.isnan(rr) else rr}
+    r1, r0 = risk_x1(joint), risk_x0(joint)
+    return {"risk_x1": r1, "risk_x0": r0, "risk_difference": r1 - r0,
+            "relative_risk": None if r0 == 0 else r1 / r0}
 
 
 def _table_line(table: dict) -> str:
@@ -340,17 +333,12 @@ def _table_line(table: dict) -> str:
 
 
 def _risk_lines(risks: dict, published: float | None) -> list[str]:
-    lines = []
-    if risks["risk_x1"] is None:
-        lines.append("risks: undefined (a treatment arm is empty)")
-    else:
-        rr = risks["relative_risk"]
-        lines.append(
-            f"risks: Pr(y=1|x=1)={_fmt(risks['risk_x1'])} "
-            f"Pr(y=1|x=0)={_fmt(risks['risk_x0'])} "
-            f"difference={_fmt(risks['risk_difference'])} "
-            f"ratio={'undefined' if rr is None else _fmt(rr)}")
-    if published is not None and risks["risk_difference"] is not None:
+    rr = risks["relative_risk"]
+    lines = [f"risks: Pr(y=1|x=1)={_fmt(risks['risk_x1'])} "
+             f"Pr(y=1|x=0)={_fmt(risks['risk_x0'])} "
+             f"difference={_fmt(risks['risk_difference'])} "
+             f"ratio={'undefined' if rr is None else _fmt(rr)}"]
+    if published is not None:
         lines.append(f"published risk difference: {_pct(published)} "
                      f"(table-derived: {_pct(risks['risk_difference'])})")
     return lines

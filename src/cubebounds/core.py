@@ -107,7 +107,7 @@ class MomentBudget:
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """A finitely supported measure on the open cube {(pi, r0, r1)}."""
+    """A finitely supported measure on the closed cube {(pi, r0, r1)}."""
 
     atoms: tuple[tuple[float, float, float, float], ...]
     # each atom is (pi, r0, r1, weight)
@@ -172,8 +172,7 @@ def relative_risk(j: ObservedJoint) -> float:
     """Pr(y=1|x=1) / Pr(y=1|x=0); NaN when the ratio is undefined.
 
     A zero baseline risk (or a missing treatment arm) makes the ratio
-    undefined; callers get NaN rather than an exception so reports can
-    render "undefined" without try/except at every call site.
+    undefined, and the result is then NaN rather than an exception.
     """
     try:
         r1 = risk_x1(j)

@@ -126,6 +126,27 @@ def test_empty_treatment_arm_is_refused_under_both_budget_modes(capsys, tmp_path
     assert out == ""
 
 
+def test_zero_baseline_risk_at_zero_f_reports_an_undefined_ratio(capsys, tmp_path):
+    """n01 = 0 is refused on every interior grid, so only f = 0 reaches the
+    report with a zero baseline risk; its one-atom certificate lies on the
+    closed cube and reproduces every cell."""
+    table = tmp_path / "t.tbl"
+    table.write_text("10 90 0 100\n")
+    argv = ["bounds", "--table", str(table), "--f", "0", "--g", "0.05"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert "difference=0.1000 ratio=undefined" in out
+    data = run_json(capsys, *argv, "--json")
+    assert data["risks"]["relative_risk"] is None
+    for side in ("min", "max"):
+        (pi, r0, r1, weight), = data["certificates"][side]
+        assert weight == 1.0
+        cells = {"p01": (1 - pi) * r0, "p11": pi * r1,
+                 "p00": (1 - pi) * (1 - r0), "p10": pi * (1 - r1)}
+        for cell, value in cells.items():
+            assert value == pytest.approx(data["joint"][cell], abs=1e-15)
+
+
 def test_iteration_limit_maps_to_exit_3(capsys, monkeypatch):
     def blow_up(req):
         raise IterationLimitError("simplex iteration limit at grid m=64")
@@ -195,6 +216,43 @@ def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
     assert code == 1
     assert f"error: {config}: {name}: {expected}" in err
     assert out == ""
+
+
+HUGE = int("1" + "0" * 400)  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("command, extra, name", [
+    ("bounds", {"k": HUGE}, "k"),
+    ("bounds", {"budget": {"f": HUGE, "g": 0.04}}, "budget.f"),
+    ("bounds", {"grid": {"m": HUGE}}, "grid.m"),
+    ("bounds", {"published_risk_difference": HUGE}, "published_risk_difference"),
+    ("bounds", {"table": [HUGE, 10, 5, 85]}, "table"),
+    ("simulate", {"N": HUGE}, "N"),
+    ("simulate", {"seed": HUGE}, "seed"),
+    ("simulate", {"share": HUGE}, "types[0]: share"),
+], ids=["k", "budget.f", "grid.m", "published_risk_difference", "table-cell",
+        "N", "seed", "share"])
+def test_integer_too_large_for_a_float_exits_1(capsys, tmp_path, monkeypatch,
+                                               command, extra, name):
+    """float() overflows on such an integer; the field is named, with no
+    traceback."""
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    monkeypatch.setattr(sim, "coverage_experiment", refuse_call)
+    path = tmp_path / "input.json"
+    if command == "bounds":
+        data = {"table": str(FIXTURES / "drug.tbl"), "budget": {"f": 0.03, "g": 0.04}}
+        data.update(extra)
+        argv = ["bounds", "--config", str(path)]
+    else:
+        data = json.loads((FIXTURES / "golf_toy.json").read_text())
+        (data["types"][0] if "share" in extra else data).update(extra)
+        argv = ["simulate", str(path), "--runs", "1"]
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: {name}: ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid, expected", [
