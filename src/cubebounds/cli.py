@@ -98,6 +98,8 @@ def _load_json(path: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except ValueError:  # an integer literal past Python's digit limit
+        raise CliError(f"{path}: an integer has too many digits")
     if not isinstance(data, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     return data
@@ -297,11 +299,8 @@ def _ladder_spec(args, cfg: dict, origin: str) -> dict:
 
 
 def _budget(f: float, g: float, origin: str) -> MomentBudget:
-    import warnings
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return MomentBudget(f=f, g=g)
+        return MomentBudget(f=f, g=g)
     except ValueError as exc:
         raise CliError(f"{origin}: {exc}")
 
@@ -517,7 +516,6 @@ def cmd_simulate(args) -> dict:
         "seed": spec.seed,
         "runs": report.runs,
         "grid_m": report.grid_m,
-        "epsilon": report.epsilon,
         "budget": {"f": report.budget.f, "g": report.budget.g},
         "budget_violation": report.budget_violation,
         "oracle": {
@@ -545,7 +543,7 @@ def _simulate_text(report: dict) -> list[str]:
         f"budget: f={_fmt(budget['f'])} g={_fmt(budget['g'])} "
         f"(oracle moments + 3 SE)"
         + (" [below oracle moments]" if report["budget_violation"] else ""),
-        f"grid: m={report['grid_m']} (tolerance {_fmt(report['epsilon'])})",
+        f"grid: m={report['grid_m']}",
         "run      L       U  psi  tau",
     ]
     for r in report["rows"]:
@@ -659,6 +657,10 @@ def main(argv=None) -> int:
                if args.json else "\n".join(args.render(report)))
     except (CliError, ValueError) as exc:  # DegenerateTableError included
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except InfeasibleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,6 @@ joint cell p_ab means Pr(x=a, y=b).  All types are immutable values.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 
@@ -83,7 +82,7 @@ class MomentBudget:
     f bounds the second moment of pi about Pr(x=1); g bounds the second
     moment of r = pi*r1 + (1-pi)*r0 about Pr(y=1).  Because the equality
     constraints pin both means, neither moment can exceed 0.25, so larger
-    requests are clamped with a warning.
+    requests are clamped to 0.25.
     """
 
     f: float
@@ -94,15 +93,8 @@ class MomentBudget:
             raise ValueError("moment budgets must be finite numbers")
         if self.f < 0 or self.g < 0:
             raise ValueError("moment budgets must be nonnegative")
-        for name in ("f", "g"):
-            value = getattr(self, name)
-            if value > 0.25:
-                warnings.warn(
-                    f"budget {name}={value} exceeds the attainable maximum "
-                    "0.25; clamping",
-                    stacklevel=2,
-                )
-                object.__setattr__(self, name, 0.25)
+        object.__setattr__(self, "f", min(self.f, 0.25))
+        object.__setattr__(self, "g", min(self.g, 0.25))
 
 
 @dataclass(frozen=True)

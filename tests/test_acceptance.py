@@ -216,6 +216,10 @@ def test_10_oracle_identity_and_full_coverage_on_golf_toy():
     assert report.runs == 100
     assert report.psi_coverage == 1.0
     assert report.tau_coverage == 1.0
+    s = report.oracle
+    for row in report.rows:  # covered means inside [L, U], with no widening
+        assert row.psi_covered == (row.L <= s.psi <= row.U)
+        assert row.tau_covered == (row.L - s.K <= s.tau <= row.U - s.K)
 
 
 def test_11_simulate_report_is_byte_identical_across_runs(capsys):

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: parsing, reports, exit codes."""
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,52 @@ def test_integer_too_large_for_a_float_exits_1(capsys, tmp_path, monkeypatch,
     assert out == ""
     assert err.startswith(f"error: {path}: {name}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_integer_past_the_digit_limit_names_the_file(capsys, tmp_path,
+                                                     monkeypatch, command):
+    """json.loads refuses an integer literal of more than 4 300 digits with
+    advice meant for Python code; the report names the file instead."""
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    monkeypatch.setattr(sim, "coverage_experiment", refuse_call)
+    huge = "1" + "0" * 5000  # json.dumps itself refuses such an int
+    path = tmp_path / "input.json"
+    if command == "bounds":
+        path.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
+                                    "budget": {"f": 0.03, "g": 0.04}, "k": 0})
+                        .replace('"k": 0', f'"k": {huge}'))
+        argv = ["bounds", "--config", str(path)]
+    else:
+        path.write_text((FIXTURES / "golf_toy.json").read_text()
+                        .replace('"N": 100000', f'"N": {huge}'))
+        argv = ["simulate", str(path), "--runs", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: an integer has too many digits\n"
+
+
+@pytest.mark.parametrize("module, name, argv, message, shown", [
+    (cli, "solve_bounds", ("bounds", "--table", str(FIXTURES / "drug.tbl"),
+                           "--f", "0.03", "--g", "0.04", "--grid-m", "20000"),
+     "Unable to allocate 2.98 GiB", "Unable to allocate 2.98 GiB"),
+    (sim, "coverage_experiment", ("simulate", str(FIXTURES / "golf_toy.json"),
+                                  "--runs", "1"),
+     "", "allocation failed"),
+], ids=["bounds", "simulate"])
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, module, name,
+                                             argv, message, shown):
+    """A grid too large to allocate raises MemoryError (numpy's carries the
+    size); it exits 1 with one error line, not a traceback.  The solver is
+    replaced, so no large array is ever allocated."""
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+    monkeypatch.setattr(module, name, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: out of memory: {shown}\n"
 
 
 @pytest.mark.parametrize("grid, expected", [
@@ -593,6 +640,24 @@ def test_simulate_seed_override_changes_draws(capsys):
                      "--runs", "1", "--seed", "7", "--json")
     assert base["rows"] != other["rows"]
     assert other["seed"] == 7
+
+
+def test_simulate_clamps_an_oracle_budget_over_a_quarter_silently(capsys,
+                                                                  tmp_path):
+    """Two types treated with probability 0.001 and 0.999 have f_true near
+    0.249, so the default budget (oracle moments + 3 SE) exceeds 0.25; it is
+    clamped to 0.25 with no warning and nothing on stderr."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"N": 100_000, "seed": 1, "types": [
+        {"share": 0.5, "versions": ["a"], "dist": [1.0], "rule": [rule],
+         "outcome": [[0.1, 0.2]]} for rule in (0.001, 0.999)]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(spec), "--runs", "1",
+                             "--grid-m", "8", "--json")
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["budget"]["f"] == 0.25
 
 
 def test_simulate_rejects_zero_runs(capsys):

@@ -78,8 +78,7 @@ def test_joint_rejects_non_finite_cells():
 def test_budget_validation_and_clamp():
     with pytest.raises(ValueError):
         MomentBudget(f=-0.01, g=0.1)
-    with pytest.warns(UserWarning):
-        clamped = MomentBudget(f=0.3, g=0.1)
+    clamped = MomentBudget(f=0.3, g=0.1)
     assert clamped.f == 0.25
     assert clamped.g == 0.1
     assert MomentBudget(f=0.25, g=0.25).f == 0.25

@@ -259,7 +259,18 @@ def test_coverage_golf_toy_small_battery():
     assert report.psi_coverage == 1.0
     assert report.tau_coverage == 1.0
     assert not report.budget_violation
-    assert report.epsilon == pytest.approx(2 / 64)
+
+
+def test_psi_within_two_over_m_of_the_interval_is_a_miss():
+    # this seeded spec's psi lies above U by 0.0375 on the m=8 grid, well
+    # within 2/m = 0.25; only L <= psi <= U proves coverage
+    spec = _random_spec(np.random.default_rng(112), n=5000)
+    report = coverage_experiment(spec, runs=1, grid=GridSpec(8))
+    row, s = report.rows[0], report.oracle
+    assert row.U < s.psi <= row.U + 2 / 8
+    assert row.U - s.K < s.tau
+    assert not row.psi_covered and not row.tau_covered
+    assert report.psi_coverage == report.tau_coverage == 0.0
 
 
 def test_coverage_single_run_report():
