@@ -12,7 +12,6 @@ from .bounds import (
     BoundsRequest,
     EqualityInfeasibleError,
     GridColumns,
-    GridSpec,
     InfeasibleBudgetError,
     IterationLimitError,
     minimal_budget,
@@ -26,8 +25,6 @@ from .core import (
     MomentBudget,
     ObservedJoint,
     normalize,
-    relative_risk,
-    risk_difference,
     risk_x0,
     risk_x1,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "DegenerateTableError",
     "EqualityInfeasibleError",
     "GridColumns",
-    "GridSpec",
     "IdentifiedInterval",
     "IndividualProfile",
     "InfeasibleBudgetError",
@@ -87,8 +83,6 @@ __all__ = [
     "normalize",
     "oracle",
     "population_k",
-    "relative_risk",
-    "risk_difference",
     "risk_x0",
     "risk_x1",
     "sample",

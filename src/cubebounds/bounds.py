@@ -3,12 +3,12 @@
 The identified interval for psi comes from minimizing and maximizing
 E[r1 - r0] over probability measures mu on the cube {(pi, r0, r1)},
 subject to four equality rows reproducing the observed joint and two
-second-moment budget rows.  Measures are restricted to atoms on an
-interior midpoint grid, so the computed interval is an inner
-approximation of the continuum one.  Refinement doubles the grid, and
-midpoint grids do not nest under doubling ((k - 1/2)/m is no point of
-the 2m grid), so a finer level can narrow the interval as well as widen
-it.
+second-moment budget rows.  Measures are restricted to the atoms of a
+grid, so the computed interval is an inner approximation of the
+continuum one.  GridColumns alone owns the grid's geometry, and
+BoundsRequest alone owns the ladder of grid sizes and its defaults.
+Refinement doubles the grid, and the grids do not nest under doubling,
+so a finer level can narrow the interval as well as widen it.
 
 Row order is fixed throughout: p01, p11, p00, p10, f, g.  The cell
 rows' coefficients sum to 1 at every atom, so the weights do too.
@@ -50,21 +50,6 @@ class IterationLimitError(RuntimeError):
     """The simplex iteration budget ran out."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Interior midpoint grid: {(k - 0.5)/m : k = 1..m} on each axis."""
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-
-    @property
-    def axis(self) -> np.ndarray:
-        return (np.arange(1, self.m + 1) - 0.5) / self.m
-
-
 DEFAULT_GRID_M = 64
 
 
@@ -72,29 +57,35 @@ DEFAULT_GRID_M = 64
 class BoundsRequest:
     """One interval question and the grid ladder that answers it.
 
-    The ladder starts at grid.m.  With refine set it doubles the grid up
-    to max_m, skips grids too coarse to carry a feasible measure, and
-    stops at the first solved grid that moves every objective by less
-    than refine_tol from the solved grid before it.  A refused request's
-    least feasible budgets walk the same ladder, always refined.
+    The request holds every default and check of the ladder; the grid
+    of each level is GridColumns(joint, m).  The ladder starts at m grid
+    points per axis.  With refine set it doubles m up to max_m, skips
+    grids too coarse to carry a feasible measure, and stops at the first
+    solved grid that moves every objective by less than refine_tol from
+    the solved grid before it.  A refused request's least feasible
+    budgets walk the same ladder, always refined.
     """
 
     joint: ObservedJoint
     budget: MomentBudget
-    grid: GridSpec
+    m: int = DEFAULT_GRID_M
     refine: bool = True
     refine_tol: float = 1e-3
     max_m: int = 256
 
     def __post_init__(self) -> None:
+        if self.m < 2:
+            raise ValueError("grid needs at least 2 points per axis")
         if self.refine_tol <= 0:
             raise ValueError("refine_tol must be positive")
-        if self.refine and self.max_m < self.grid.m:
+        if self.refine and self.max_m < self.m:
             raise ValueError("max_m must not be below the starting grid")
 
 
 class GridColumns:
-    """Column oracle over the m^3 grid atoms.
+    """Column oracle over the m^3 atoms of the interior midpoint grid,
+    {(k - 0.5)/m : k = 1..m} on each axis.  No such point lies on the 2m
+    grid, so the grids do not nest under doubling.
 
     Column j encodes grid indices (j // m^2, (j // m) % m, j % m) for
     (pi, r0, r1).  Rows follow the fixed order above.  The objective is
@@ -110,7 +101,7 @@ class GridColumns:
         self.m = m
         self.joint = joint
         self.objective = objective
-        self.axis = GridSpec(m).axis
+        self.axis = (np.arange(1, m + 1) - 0.5) / m
         self._pi = self.axis[:, None]  # the y-independent planes of the pricing score
         self._pi0 = 1 - self._pi
         self._f_row = (self._pi - joint.px1) ** 2  # the f row's coefficient
@@ -292,7 +283,7 @@ def _ladder(req: BoundsRequest, refine: bool, objective: str, senses,
     infeasible sense skips the grid.  Returns (m, oracle, solutions,
     settled) for the last solved grid, or None if no grid was solved.
     """
-    ms = [req.grid.m]
+    ms = [req.m]
     while refine and 2 * ms[-1] <= req.max_m:
         ms.append(2 * ms[-1])
     rows = _constraint_rows(req.joint, f, g)
@@ -329,7 +320,7 @@ def _pinned_interval(req: BoundsRequest) -> IdentifiedInterval:
     point = r1 - r0
     return IdentifiedInterval(L=point, U=point, certificate_min=cert,
                               certificate_max=cert,
-                              grid_resolution=req.grid.m, converged=True)
+                              grid_resolution=req.m, converged=True)
 
 
 def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
@@ -358,7 +349,7 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
                 least.append(None)
         raise InfeasibleBudgetError(
             f"no measure matches the table under f={req.budget.f}, "
-            f"g={req.budget.g} on grids up to m={req.max_m if req.refine else req.grid.m}",
+            f"g={req.budget.g} on grids up to m={req.max_m if req.refine else req.m}",
             *least)
 
     m, oracle, (smin, smax), settled = level

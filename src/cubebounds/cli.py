@@ -25,7 +25,6 @@ from . import lp, sim
 from .bounds import (
     DEFAULT_GRID_M,
     BoundsRequest,
-    GridSpec,
     InfeasibleBudgetError,
     IterationLimitError,
     solve_bounds,
@@ -100,6 +99,8 @@ def _load_json(path: str) -> dict:
         raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except ValueError:  # an integer literal past Python's digit limit
         raise CliError(f"{path}: an integer has too many digits")
+    except RecursionError:  # arrays or objects nested past the recursion limit
+        raise CliError(f"{path}: nested too deeply")
     if not isinstance(data, dict):
         raise CliError(f"{path}: top level must be a JSON object")
     return data
@@ -268,24 +269,20 @@ def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, fl
     return k_mode, k_min, k_max
 
 
-def _grid(flag: int | None, configured: int | None = None) -> GridSpec:
-    """The grid of one subcommand: m from the flag, else the config, else
-    DEFAULT_GRID_M."""
-    m = flag if flag is not None else configured
-    return GridSpec(DEFAULT_GRID_M if m is None else m)
-
-
 def _ladder_spec(args, cfg: dict, origin: str) -> dict:
-    """BoundsRequest's grid arguments.  --refine only enables, and
-    refine_tol and max_m are passed only when the config sets them, so
-    their defaults live in BoundsRequest alone."""
+    """BoundsRequest's grid arguments.  --refine only enables, and m,
+    refine_tol and max_m are passed only when a flag or the config sets
+    them, so their defaults live in BoundsRequest alone.  The config's
+    grid.m is checked even where --grid-m wins."""
     gcfg = cfg.get("grid", {})
     if not isinstance(gcfg, dict):
         raise CliError(f"{origin}: grid must be an object")
     _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
-    configured_m = (_integer(gcfg["m"], f"{origin}: grid.m")
-                    if "m" in gcfg else None)
-    spec = {"grid": _grid(args.grid_m, configured_m)}
+    spec = {}
+    if "m" in gcfg:
+        spec["m"] = _integer(gcfg["m"], f"{origin}: grid.m")
+    if args.grid_m is not None:
+        spec["m"] = args.grid_m
     refine = gcfg.get("refine", False)
     if not isinstance(refine, bool):
         raise CliError(f"{origin}: grid.refine: expected true or false, "
@@ -367,7 +364,7 @@ def cmd_bounds(args) -> dict:
         "risks": _risks(joint),
         "budget": {"f": budget.f, "g": budget.g, "mode": mode,
                    "d_x": d_x, "d_y": d_y},
-        "grid": {"m_start": request.grid.m, "m_final": iv.grid_resolution,
+        "grid": {"m_start": request.m, "m_final": iv.grid_resolution,
                  "refine": request.refine, "converged": iv.converged},
         "interval": {"L": iv.L, "U": iv.U, "width": iv.width},
         "certificates": {
@@ -509,7 +506,8 @@ def cmd_simulate(args) -> dict:
     if args.runs < 1:
         raise CliError("--runs must be at least 1")
     spec = _population_spec(args.spec, args.seed)
-    report = sim.coverage_experiment(spec, args.runs, grid=_grid(args.grid_m))
+    report = sim.coverage_experiment(
+        spec, args.runs, m=DEFAULT_GRID_M if args.grid_m is None else args.grid_m)
     s = report.oracle
     return {
         "N": spec.N,

@@ -158,24 +158,3 @@ def risk_x0(j: ObservedJoint) -> float:
     if j.px0 <= 0:
         raise DegenerateTableError("Pr(x=0) is zero; conditional risk undefined")
     return j.p01 / j.px0
-
-
-def relative_risk(j: ObservedJoint) -> float:
-    """Pr(y=1|x=1) / Pr(y=1|x=0); NaN when the ratio is undefined.
-
-    A zero baseline risk (or a missing treatment arm) makes the ratio
-    undefined, and the result is then NaN rather than an exception.
-    """
-    try:
-        r1 = risk_x1(j)
-        r0 = risk_x0(j)
-    except DegenerateTableError:
-        return math.nan
-    if r0 == 0:
-        return math.nan
-    return r1 / r0
-
-
-def risk_difference(j: ObservedJoint) -> float:
-    """Pr(y=1|x=1) - Pr(y=1|x=0)."""
-    return risk_x1(j) - risk_x0(j)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_GRID_M, BoundsRequest, GridSpec, solve_bounds
+from .bounds import DEFAULT_GRID_M, BoundsRequest, solve_bounds
 from .core import ContingencyTable, MomentBudget, ObservedJoint, normalize
 
 
@@ -72,10 +72,6 @@ class VersionModel:
         if self.dist_under_0 is not None:
             _prob_vector("dist_under_0", self.dist_under_0, n)
             _prob_vector("dist_under_1", self.dist_under_1, n)
-
-    @property
-    def invariant_versions(self) -> bool:
-        return self.dist_under_0 is None
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def default_budget(summary: OracleSummary, n: int) -> MomentBudget:
 
 
 def coverage_experiment(spec: PopulationSpec, runs: int,
-                        grid: GridSpec | None = None,
+                        m: int = DEFAULT_GRID_M,
                         budget: MomentBudget | None = None) -> CoverageReport:
     """Check that computed intervals cover the oracle psi and tau.
 
@@ -260,7 +256,6 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    grid = grid or GridSpec(DEFAULT_GRID_M)
     summary = oracle(spec)
     violation = False
     if budget is None:
@@ -273,7 +268,7 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
     psi_hits = tau_hits = 0
     for r in range(runs):
         joint = normalize(tabulate(sample(spec, run_key=r)))
-        iv = solve_bounds(BoundsRequest(joint, budget, grid, refine=False))
+        iv = solve_bounds(BoundsRequest(joint, budget, m, refine=False))
         psi_ok = iv.L <= summary.psi <= iv.U
         tau_ok = iv.L - summary.K <= summary.tau <= iv.U - summary.K
         psi_hits += psi_ok
@@ -281,6 +276,6 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
         rows.append(RunRecord(run=r, L=iv.L, U=iv.U,
                               psi_covered=psi_ok, tau_covered=tau_ok))
     return CoverageReport(runs=runs, psi_coverage=psi_hits / runs,
-                          tau_coverage=tau_hits / runs, grid_m=grid.m,
+                          tau_coverage=tau_hits / runs, grid_m=m,
                           budget=budget, budget_violation=violation,
                           oracle=summary, rows=tuple(rows))

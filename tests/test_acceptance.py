@@ -17,7 +17,6 @@ import pytest
 from cubebounds import (
     BoundsRequest,
     ContingencyTable,
-    GridSpec,
     IndividualProfile,
     MomentBudget,
     PopulationSpec,
@@ -28,8 +27,8 @@ from cubebounds import (
     k_individual,
     normalize,
     oracle,
-    relative_risk,
-    risk_difference,
+    risk_x0,
+    risk_x1,
     solve_bounds,
 )
 from cubebounds import cli
@@ -62,7 +61,7 @@ def test_01_golf_study_interval_reproduced_quickly():
     start = time.perf_counter()
     interval = solve_bounds(BoundsRequest(
         joint=GOLF, budget=MomentBudget(f=0.125, g=0.03),
-        grid=GridSpec(m=50), refine=False))
+        m=50, refine=False))
     elapsed = time.perf_counter() - start
     assert abs(interval.L - 0.05) <= 0.02
     assert abs(interval.U - 0.43) <= 0.02
@@ -73,17 +72,17 @@ def test_01_golf_study_interval_reproduced_quickly():
 def test_02_drug_study_interval_and_relative_risk():
     interval = solve_bounds(BoundsRequest(
         joint=DRUG, budget=MomentBudget(f=0.03, g=0.04),
-        grid=GridSpec(m=64), refine=False))
+        m=64, refine=False))
     assert abs(interval.L - 0.15) <= 0.02
     assert abs(interval.U - 0.52) <= 0.02
-    assert abs(relative_risk(DRUG) - 11.4) <= 0.1
+    assert abs(risk_x1(DRUG) / risk_x0(DRUG) - 11.4) <= 0.1
 
 
 def test_03_vaccine_zero_budget_collapses_to_risk_difference(capsys):
     interval = solve_bounds(BoundsRequest(
         joint=VACCINE, budget=MomentBudget(f=0.0, g=0.25),
-        grid=GridSpec(m=64), refine=False))
-    rd = risk_difference(VACCINE)
+        m=64, refine=False))
+    rd = risk_x1(VACCINE) - risk_x0(VACCINE)
     assert interval.L == pytest.approx(interval.U, abs=1e-12)
     assert abs(interval.L - rd) <= 2.0 / interval.grid_resolution
     # the published figure and the table-derived one disagree; the report
@@ -127,7 +126,7 @@ def test_06_bounds_match_basis_enumeration_on_tiny_grids():
         status, lo, hi = bfs_optima(costs, matrix, _constraint_rows(joint, budget))
         assert status == "optimal"
         interval = solve_bounds(BoundsRequest(
-            joint=joint, budget=budget, grid=GridSpec(m=m), refine=False))
+            joint=joint, budget=budget, m=m, refine=False))
         assert abs(interval.L - lo) <= 1e-9
         assert abs(interval.U - hi) <= 1e-9
 
@@ -140,9 +139,9 @@ def test_07_wider_budgets_give_nested_intervals():
             f=min(budget.f + float(rng.uniform(0.0, 0.08)), 0.25),
             g=min(budget.g + float(rng.uniform(0.0, 0.08)), 0.25))
         inner = solve_bounds(BoundsRequest(
-            joint=joint, budget=budget, grid=GridSpec(m=8), refine=False))
+            joint=joint, budget=budget, m=8, refine=False))
         outer = solve_bounds(BoundsRequest(
-            joint=joint, budget=wider, grid=GridSpec(m=8), refine=False))
+            joint=joint, budget=wider, m=8, refine=False))
         assert outer.L <= inner.L + 1e-6
         assert inner.U <= outer.U + 1e-6
 
@@ -160,7 +159,7 @@ def test_08_certificates_are_feasible_attaining_and_sparse():
         battery.append((joint, budget, 8))
     for joint, budget, m in battery:
         interval = solve_bounds(BoundsRequest(
-            joint=joint, budget=budget, grid=GridSpec(m=m), refine=False))
+            joint=joint, budget=budget, m=m, refine=False))
         assert_certificate(interval.certificate_min, joint, budget,
                            interval.L, tol=1e-6)
         assert_certificate(interval.certificate_max, joint, budget,

@@ -9,7 +9,6 @@ from cubebounds.bounds import (
     BoundsRequest,
     EqualityInfeasibleError,
     GridColumns,
-    GridSpec,
     InfeasibleBudgetError,
     _constraint_rows,
     minimal_budget,
@@ -20,7 +19,8 @@ from cubebounds.core import (
     MomentBudget,
     ObservedJoint,
     normalize,
-    risk_difference,
+    risk_x0,
+    risk_x1,
 )
 
 from helpers import assert_certificate, random_grid_measure
@@ -31,26 +31,25 @@ VACCINE = normalize(ContingencyTable(8, 21720, 162, 21558))
 
 
 def _fixed(joint, f, g, m):
-    return BoundsRequest(joint, MomentBudget(f=f, g=g), GridSpec(m),
-                         refine=False)
+    return BoundsRequest(joint, MomentBudget(f=f, g=g), m, refine=False)
 
 
 def _given_other(joint, which, other, m, **ladder):
     """A request for minimal_budget(req, which): the moment other than
     `which` is bounded by `other`, and the 0.25 of `which` goes unread."""
     f, g = (0.25, other) if which == "f" else (other, 0.25)
-    return BoundsRequest(joint, MomentBudget(f=f, g=g), GridSpec(m), **ladder)
+    return BoundsRequest(joint, MomentBudget(f=f, g=g), m, **ladder)
 
 
 # -- grid and assembly ---------------------------------------------------------
 
 
 def test_grid_axis_is_interior_midpoints():
-    axis = GridSpec(4).axis
+    axis = GridColumns(GOLF, 4).axis
     assert np.allclose(axis, [0.125, 0.375, 0.625, 0.875])
     assert (axis > 0).all() and (axis < 1).all()
-    with pytest.raises(ValueError):
-        GridSpec(1)
+    with pytest.raises(ValueError, match="grid needs at least 2 points per axis"):
+        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 1)
 
 
 def test_column_decode_and_coefficients():
@@ -245,7 +244,7 @@ def test_drug_endpoints_stable_across_grids():
 def test_zero_f_budget_collapses_to_risk_difference():
     for joint in (VACCINE, DRUG):
         iv = solve_bounds(_fixed(joint, 0.0, 0.25, 64))
-        rd = risk_difference(joint)
+        rd = risk_x1(joint) - risk_x0(joint)
         assert iv.L == pytest.approx(rd, abs=1e-12)
         assert iv.U == pytest.approx(rd, abs=1e-12)
         assert iv.converged
@@ -258,7 +257,7 @@ def test_refinement_converges_on_drug():
     # m=16 is infeasible for this table and gets skipped; the ladder
     # then runs 32 -> 64 -> 128 and the deltas fall below 5e-3
     iv = solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04),
-                                    GridSpec(16), refine=True, max_m=128,
+                                    16, refine=True, max_m=128,
                                     refine_tol=5e-3))
     assert iv.converged
     assert iv.grid_resolution == 128
@@ -285,7 +284,7 @@ def test_refine_ladder_solves_each_grid_min_then_max(monkeypatch):
     # an infeasible min skips its grid's max; the ladder stops at the
     # first grid that moves neither endpoint by refine_tol
     calls = _recorded_solves(monkeypatch)
-    solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04), GridSpec(16),
+    solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04), 16,
                                refine=True, max_m=128, refine_tol=5e-3))
     assert calls == [(16, "psi", "min", lp.INFEASIBLE)] + [
         (m, "psi", sense, lp.OPTIMAL) for m in (32, 64, 128)
@@ -319,7 +318,7 @@ def test_no_grid_lp_deletes_a_row(monkeypatch):
     rng = np.random.default_rng(43)
     requests = [_fixed(GOLF, 0.125, 0.03, 50), _fixed(DRUG, 0.03, 0.04, 64),
                 _fixed(VACCINE, 0.01, 0.01, 64), _fixed(GOLF, 0.125, 0.03, 32)]
-    requests += [BoundsRequest(joint, budget, GridSpec(m), refine=False)
+    requests += [BoundsRequest(joint, budget, m, refine=False)
                  for m in (3, 4, 5, 8) for joint, budget, _ in
                  (random_grid_measure(rng, m) for _ in range(3))]
     for req in requests:
@@ -349,7 +348,7 @@ def test_no_grid_lp_deletes_a_row(monkeypatch):
 def test_refinement_skips_infeasible_levels():
     # m=25 cannot reproduce the golf table (0.25/m > p01); m=50 can
     iv = solve_bounds(BoundsRequest(GOLF, MomentBudget(0.125, 0.03),
-                                    GridSpec(25), refine=True, max_m=50))
+                                    25, refine=True, max_m=50))
     assert iv.grid_resolution == 50
     assert not iv.converged  # only one feasible level, no delta to test
 
@@ -376,7 +375,7 @@ def test_certificates_satisfy_all_constraints():
         joint, budget, _tight = random_grid_measure(rng, 8)
         cases.append((joint, budget, 8))
     for joint, budget, m in cases:
-        iv = solve_bounds(BoundsRequest(joint, budget, GridSpec(m),
+        iv = solve_bounds(BoundsRequest(joint, budget, m,
                                         refine=False))
         assert_certificate(iv.certificate_min, joint, budget, iv.L)
         assert_certificate(iv.certificate_max, joint, budget, iv.U)
@@ -388,9 +387,9 @@ def test_nestedness_of_budgets():
         joint, budget, _ = random_grid_measure(rng, 8)
         bigger = MomentBudget(f=budget.f + float(rng.uniform(0, 0.05)),
                               g=budget.g + float(rng.uniform(0, 0.05)))
-        inner = solve_bounds(BoundsRequest(joint, budget, GridSpec(8),
+        inner = solve_bounds(BoundsRequest(joint, budget, 8,
                                            refine=False))
-        outer = solve_bounds(BoundsRequest(joint, bigger, GridSpec(8),
+        outer = solve_bounds(BoundsRequest(joint, bigger, 8,
                                            refine=False))
         assert outer.L <= inner.L + 1e-6
         assert outer.U >= inner.U - 1e-6
@@ -405,11 +404,29 @@ def test_label_swap_reverses_interval():
     assert mirror.U == pytest.approx(-base.L, abs=1e-6)
 
 
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+def test_label_swaps_reverse_interval_property(seed, m):
+    # swapping the treatment labels maps atoms (pi, r0, r1) to
+    # (1 - pi, r1, r0), and swapping the outcome labels maps them to
+    # (pi, 1 - r0, 1 - r1); both keep the grid and both moments and
+    # negate r1 - r0, so [L, U] goes to [-U, -L]
+    joint, budget, _ = random_grid_measure(np.random.default_rng(seed), m)
+    base = solve_bounds(BoundsRequest(joint, budget, m, refine=False))
+    for swapped in (ObservedJoint(p11=joint.p01, p10=joint.p00,
+                                  p01=joint.p11, p00=joint.p10),
+                    ObservedJoint(p11=joint.p10, p10=joint.p11,
+                                  p01=joint.p00, p00=joint.p01)):
+        mirror = solve_bounds(BoundsRequest(swapped, budget, m, refine=False))
+        assert mirror.L == pytest.approx(-base.U, abs=1e-6)
+        assert mirror.U == pytest.approx(-base.L, abs=1e-6)
+
+
 def test_interval_always_within_unit_band():
     rng = np.random.default_rng(41)
     for _ in range(15):
         joint, budget, _ = random_grid_measure(rng, 6)
-        iv = solve_bounds(BoundsRequest(joint, budget, GridSpec(6),
+        iv = solve_bounds(BoundsRequest(joint, budget, 6,
                                         refine=False))
         assert -1 - 1e-9 <= iv.L <= iv.U <= 1 + 1e-9
 
@@ -420,7 +437,7 @@ def test_interval_within_manski_bounds_property(seed, m):
     # with no budget, E[y1] lies in [p11, p11 + px0] and E[y0] in
     # [p01, p01 + px1]; budgets can only narrow that
     joint, budget, _ = random_grid_measure(np.random.default_rng(seed), m)
-    iv = solve_bounds(BoundsRequest(joint, budget, GridSpec(m), refine=False))
+    iv = solve_bounds(BoundsRequest(joint, budget, m, refine=False))
     assert iv.L <= iv.U + 1e-9
     assert joint.p11 - joint.p01 - joint.px1 - 1e-9 <= iv.L
     assert iv.U <= joint.p11 + joint.px0 - joint.p01 + 1e-9
@@ -443,7 +460,7 @@ def test_table_no_grid_represents_is_refused_without_diagnostics():
     # so every grid fails the equalities and no least budget exists
     zero = normalize(ContingencyTable(0, 10, 5, 85))
     with pytest.raises(InfeasibleBudgetError) as info:
-        solve_bounds(BoundsRequest(zero, MomentBudget(0.05, 0.05), GridSpec(16),
+        solve_bounds(BoundsRequest(zero, MomentBudget(0.05, 0.05), 16,
                                    refine=False, max_m=32))
     assert info.value.minimal_f is None
     assert info.value.minimal_g is None
@@ -508,11 +525,11 @@ def test_minimal_budget_validation():
 
 def test_request_validation():
     with pytest.raises(ValueError):
-        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), GridSpec(8),
+        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 8,
                       refine_tol=0.0)
     with pytest.raises(ValueError):
-        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), GridSpec(8), max_m=4)
+        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 8, max_m=4)
     # max_m bounds refinement only: a fixed grid may lie above it
-    req = BoundsRequest(GOLF, MomentBudget(0.1, 0.1), GridSpec(8),
+    req = BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 8,
                         refine=False, max_m=4)
-    assert req.grid.m == 8
+    assert req.m == 8

@@ -280,6 +280,28 @@ def test_integer_past_the_digit_limit_names_the_file(capsys, tmp_path,
     assert err == f"error: {path}: an integer has too many digits\n"
 
 
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_json_nested_past_the_recursion_limit_names_the_file(capsys, tmp_path,
+                                                             monkeypatch, command):
+    """json.loads raises RecursionError on arrays nested deeper than the
+    interpreter's recursion limit; the report is one line naming the file."""
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    monkeypatch.setattr(sim, "coverage_experiment", refuse_call)
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "input.json"
+    if command == "bounds":
+        path.write_text('{"k": ' + deep + "}")
+        argv = ["bounds", "--config", str(path)]
+    else:
+        path.write_text((FIXTURES / "golf_toy.json").read_text()
+                        .replace('"N": 100000', f'"N": {deep}'))
+        argv = ["simulate", str(path), "--runs", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: nested too deeply\n"
+
+
 @pytest.mark.parametrize("module, name, argv, message, shown", [
     (cli, "solve_bounds", ("bounds", "--table", str(FIXTURES / "drug.tbl"),
                            "--f", "0.03", "--g", "0.04", "--grid-m", "20000"),
@@ -452,12 +474,27 @@ def test_usage_error_exits_1(capsys):
 
 
 def test_one_point_grid_is_refused_by_bounds_and_simulate(capsys):
+    # a flag of 0 is a value given, not a missing flag
     for argv in (("bounds", "--table", str(FIXTURES / "golf.tbl"),
                   "--f", "0.125", "--g", "0.03"),
                  ("simulate", str(FIXTURES / "golf_toy.json"), "--runs", "1")):
-        code, out, err = run(capsys, *argv, "--grid-m", "1")
-        assert code == 1
-        assert "grid needs at least 2 points per axis" in err
+        for m in ("1", "0", "-3"):
+            code, out, err = run(capsys, *argv, "--grid-m", m)
+            assert code == 1
+            assert out == ""
+            assert err == "error: grid needs at least 2 points per axis\n"
+
+
+def test_non_integer_config_grid_m_is_refused_beside_the_flag(capsys, tmp_path):
+    # --grid-m wins over the config's grid.m, which is still checked
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
+                                  "budget": {"f": 0.03, "g": 0.04},
+                                  "grid": {"m": 64.7}}))
+    code, out, err = run(capsys, "bounds", "--config", str(config), "--grid-m", "8")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {config}: grid.m: expected an integer, got 64.7\n"
 
 
 def test_config_inline_table_and_k_profiles(capsys, tmp_path):

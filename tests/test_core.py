@@ -12,8 +12,6 @@ from cubebounds.core import (
     MomentBudget,
     ObservedJoint,
     normalize,
-    relative_risk,
-    risk_difference,
     risk_x0,
     risk_x1,
 )
@@ -95,8 +93,6 @@ def test_budget_rejects_non_finite_values():
 def test_golf_risk_summaries():
     assert risk_x1(GOLF) == pytest.approx(0.10)
     assert risk_x0(GOLF) == pytest.approx(0.01)
-    assert risk_difference(GOLF) == pytest.approx(0.09)
-    assert relative_risk(GOLF) == pytest.approx(10.0)
 
 
 def test_degenerate_marginals_raise():
@@ -106,11 +102,6 @@ def test_degenerate_marginals_raise():
     no_control = ObservedJoint(p11=0.4, p10=0.6, p01=0.0, p00=0.0)
     with pytest.raises(DegenerateTableError):
         risk_x0(no_control)
-
-
-def test_relative_risk_undefined_is_nan():
-    zero_baseline = ObservedJoint(p11=0.2, p10=0.3, p01=0.0, p00=0.5)
-    assert math.isnan(relative_risk(zero_baseline))
 
 
 def test_atomic_measure_validation_and_expectation():

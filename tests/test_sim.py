@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from cubebounds.core import MomentBudget, normalize
-from cubebounds.bounds import GridSpec
 from cubebounds.sensitivity import IndividualProfile, population_k
 from cubebounds.sim import (
     PopulationSpec,
@@ -78,11 +77,17 @@ def test_population_spec_validation():
 
 
 def test_invariance_flag():
-    assert GOLF_TYPE.invariant_versions
+    # without interventional distributions both arms draw versions from
+    # the natural law; with them, each arm draws from its own
+    invariant = VersionModel(("a", "b"), (0.5, 0.5), (0.2, 0.8),
+                             ((0.1, 0.2), (0.3, 0.4)))
     varied = VersionModel(("a", "b"), (0.5, 0.5), (0.2, 0.8),
                           ((0.1, 0.2), (0.3, 0.4)),
                           dist_under_0=(1.0, 0.0), dist_under_1=(0.0, 1.0))
-    assert not varied.invariant_versions
+    (same,), (moved,) = (oracle(PopulationSpec(types=((model, 1.0),), N=10, seed=1)).per_type
+                         for model in (invariant, varied))
+    assert (same.r_int_0, same.r_int_1) == pytest.approx((0.2, 0.3), abs=1e-12)
+    assert (moved.r_int_0, moved.r_int_1) == pytest.approx((0.1, 0.4), abs=1e-12)
 
 
 # -- oracle ----------------------------------------------------------------------
@@ -265,7 +270,7 @@ def test_psi_within_two_over_m_of_the_interval_is_a_miss():
     # this seeded spec's psi lies above U by 0.0375 on the m=8 grid, well
     # within 2/m = 0.25; only L <= psi <= U proves coverage
     spec = _random_spec(np.random.default_rng(112), n=5000)
-    report = coverage_experiment(spec, runs=1, grid=GridSpec(8))
+    report = coverage_experiment(spec, runs=1, m=8)
     row, s = report.rows[0], report.oracle
     assert row.U < s.psi <= row.U + 2 / 8
     assert row.U - s.K < s.tau
@@ -275,7 +280,7 @@ def test_psi_within_two_over_m_of_the_interval_is_a_miss():
 
 def test_coverage_single_run_report():
     report = coverage_experiment(golf_spec(n=20_000), runs=1,
-                                 grid=GridSpec(64))
+                                 m=64)
     assert report.runs == 1 and len(report.rows) == 1
 
 
@@ -287,11 +292,7 @@ def test_coverage_flags_budget_below_oracle_moments():
         if oracle(candidate).f_true > 0.01:
             spec = candidate
     low = MomentBudget(f=oracle(spec).f_true / 2, g=0.2)
-    report = None
-    try:
-        report = coverage_experiment(spec, runs=1, budget=low)
-    except Exception:
-        pytest.skip("budget-starved run was infeasible outright")
+    report = coverage_experiment(spec, runs=1, budget=low)
     assert report.budget_violation
 
 
