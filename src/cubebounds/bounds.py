@@ -329,9 +329,10 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
     The converged flag records whether refinement settled before max_m;
     a fixed-grid request has nothing pending and reports converged.  If
     no grid carries a feasible measure the error carries the least
-    feasible f and g, each None where no grid represents the table.  A
-    table with an empty treatment arm leaves a conditional risk
-    undefined and raises DegenerateTableError under every budget.
+    feasible f and g, each None where no grid represents the table or
+    its LP fails.  A table with an empty treatment arm leaves a
+    conditional risk undefined and raises DegenerateTableError under
+    every budget.
     """
     risk_x1(req.joint)
     risk_x0(req.joint)
@@ -345,7 +346,7 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
         for which in ("f", "g"):
             try:
                 least.append(minimal_budget(req, which))
-            except (EqualityInfeasibleError, IterationLimitError):
+            except (EqualityInfeasibleError, IterationLimitError, lp.SingularBasisError):
                 least.append(None)
         raise InfeasibleBudgetError(
             f"no measure matches the table under f={req.budget.f}, "

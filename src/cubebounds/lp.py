@@ -12,9 +12,9 @@ every pivot and no inverse is ever updated in place.
 Conventions: variables are nonnegative weights; rows are "eq" or "le";
 "le" rows receive slack variables internally; rows whose slack cannot
 start basic receive artificial variables for the two-phase start.
-Maximization is handled by pricing with negated costs.  Ties in the ratio
-test are broken lexicographically from the first pivot, which rules out
-cycling, so no other anti-cycling guard is needed.
+Maximization is handled by pricing with negated costs.  The ratio test
+is one lexicographic rule from the first pivot, with its tie window on
+the residual basic values, so it cannot cycle and needs no other guard.
 """
 from __future__ import annotations
 
@@ -33,8 +33,8 @@ ITERATION_LIMIT = "iteration_limit"
 # when driving artificials out of the basis.
 PIVOT_TOL = 1e-10
 # Primal slack: the largest phase-1 objective still counted as feasible,
-# the width of a ratio-test tie, and a tenth of the most negative basic
-# value accepted at the optimum.
+# the most a ratio-test tie may overshoot a basic value, and a tenth of
+# the most negative basic value accepted at the optimum.
 TOL_FEAS = 1e-9
 # A column enters only if its reduced cost is below -TOL_OPT.
 TOL_OPT = 1e-9
@@ -151,12 +151,12 @@ class _Simplex:
     state: `refactorize` derives its inverse `binv` and the basic values
     `xb` from it, after the start, every pivot and every row deletion.
 
-    Ratio-test ties are broken on the rows of B^-1 B_ref / d, where B_ref
-    is the basis matrix at the start of each phase (after phase 1 deletes
-    redundant rows or pivots artificials out).  Every row of
-    [x_B, B^-1 B_ref] then stays lexicographically positive and the
-    objective falls lexicographically at each pivot, so no basis repeats
-    whichever improving column enters.
+    The ratio test takes the lexicographically least row of
+    [x_B, B^-1 B_ref] / d, B_ref the basis matrix at each phase start
+    (after phase 1 deletes redundant rows or pivots artificials out).
+    Every row of [x_B, B^-1 B_ref] then stays lexicographically positive
+    and the objective falls lexicographically at each pivot, so no basis
+    repeats whichever improving column enters.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -243,18 +243,18 @@ class _Simplex:
         return best_id if best_rc < -TOL_OPT else None
 
     def ratio_test(self, d: np.ndarray) -> int | None:
-        """Leaving position, or None when the direction is unbounded."""
-        cand = np.nonzero(d > PIVOT_TOL)[0]
-        if cand.size == 0:
+        """Leaving position, or None when the direction is unbounded.
+
+        Ties start as the rows with d > PIVOT_TOL and narrow over the columns
+        of [x_B, B^-1 B_ref] / d, x_B clipped at 0: a row stays if stepping to
+        its ratio moves no basic value TOL_FEAS past the least ratio's step."""
+        ties = np.nonzero(d > PIVOT_TOL)[0]
+        if ties.size == 0:
             return None
-        ratios = self.xb[cand] / d[cand]
-        ties = cand[ratios <= np.min(ratios) + TOL_FEAS]
-        if ties.size == 1:
-            return int(ties[0])
-        lex = (self.binv[ties] @ self.ref) / d[ties, None]
-        for c in range(lex.shape[1]):
-            keep = lex[:, c] <= lex[:, c].min() + TOL_FEAS
-            ties, lex = ties[keep], lex[keep]
+        for c in range(-1, self.ref.shape[1]):
+            col = np.maximum(self.xb[ties], 0.0) if c < 0 else self.binv[ties] @ self.ref[:, c]
+            ratio = col / d[ties]
+            ties = ties[(ratio - ratio.min()) * d.max() <= TOL_FEAS]
             if ties.size == 1:
                 break
         return int(ties[0])

@@ -79,7 +79,8 @@ def bfs_optima(costs, matrix, rows, chunk=20000):
         except np.linalg.LinAlgError:
             xs = np.stack([_solve_or_nan(m, b) for m in bases[ok]])
         resid = np.einsum("kij,kj->ki", bases[ok], xs) - b
-        feas = ((xs >= -1e-9).all(axis=1)
+        # a slack of -1e-9 would overspend a 1e-9 budget by all of it
+        feas = ((xs >= -1e-12).all(axis=1)
                 & (np.abs(resid).max(axis=1) < 1e-8)
                 & np.isfinite(xs).all(axis=1))
         if not feas.any():
@@ -121,6 +122,27 @@ def random_lp(rng):
         rows.append((rel, float(b0[i] + slackness)))
     costs = rng.normal(size=n_cols).round(3)
     return costs, matrix, tuple(rows)
+
+
+def random_tiny_budget_lp(rng):
+    """Small feasible bounded LP whose "le" rows are budgets like the
+    moment rows: nonnegative coefficients and right-hand sides between
+    1e-9 and 1e-6, met by a point whose support has coefficients below
+    the budget.  The equality coefficients and the point are dyadic, so
+    the equality right-hand sides hold at the point exactly.
+    """
+    n_cols = int(rng.integers(4, 9))
+    z0 = np.zeros(n_cols)
+    support = rng.choice(n_cols, size=int(rng.integers(1, 4)), replace=False)
+    z0[support] = rng.multinomial(64, np.ones(support.size) / support.size) / 64
+    budgets = 10.0 ** rng.uniform(-9, -6, size=int(rng.integers(1, 3)))
+    le = rng.uniform(0.0, 1.0, size=(budgets.size, n_cols))
+    le[:, support] *= 0.9 * budgets[:, None]
+    eq = rng.integers(-2048, 2048, size=(int(rng.integers(0, 3)), n_cols)) / 1024
+    matrix = np.vstack([np.ones(n_cols), eq, le])
+    rows = ([("eq", 1.0)] + [("eq", float(b)) for b in eq @ z0]
+            + [("le", float(b)) for b in budgets])
+    return rng.normal(size=n_cols).round(3), matrix, tuple(rows)
 
 
 def random_grid_measure(rng, m):

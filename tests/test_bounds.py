@@ -501,6 +501,13 @@ def test_minimal_budget_tiny_g_f(monkeypatch):
     assert max(iterations) < 200
 
 
+def test_minimal_budget_golf_f_at_a_tiny_g():
+    # this LP used to end with a basic value below -10 * TOL_FEAS and
+    # raise SingularBasisError
+    value = minimal_budget(_fixed(GOLF, 0.125, 1e-9, 64), "f")
+    assert 0.0 <= value <= 0.25
+
+
 def test_minimal_budget_refuses_unexpected_lp_status(monkeypatch):
     # a status other than optimal, infeasible or the iteration limit is a
     # numerical failure, not a joint the grids cannot represent

@@ -114,6 +114,35 @@ def test_table_no_grid_represents_exits_2_without_diagnostics(capsys, tmp_path):
                    "g=0.05 on grids up to m=64\n")
 
 
+@pytest.mark.parametrize("g", ["1e-9", "1e-12"])
+def test_golf_refusal_at_a_tiny_g_exits_2(capsys, g):
+    # the f diagnosis LP of these refusals used to end with a basic value
+    # below -10 * TOL_FEAS and exit 3
+    code, out, err = run(capsys, "bounds", "--table", str(FIXTURES / "golf.tbl"),
+                         "--f", "0.125", "--g", g)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no measure matches")
+    assert "negative basic variable" not in err
+
+
+def test_singular_diagnosis_lp_drops_only_its_line(capsys, monkeypatch):
+    solve = lp.solve
+
+    def singular_f(program):
+        if program.oracle.objective == "f":
+            raise lp.SingularBasisError("negative basic variable at optimum")
+        return solve(program)
+
+    monkeypatch.setattr(lp, "solve", singular_f)
+    code, out, err = run(capsys, "bounds", "--table", str(FIXTURES / "golf.tbl"),
+                         "--f", "0.125", "--g", "0.03", "--grid-m", "32")
+    assert code == 2
+    assert err.startswith("error: no measure matches")
+    assert "least feasible f" not in err
+    assert "least feasible g at the given f: " in err
+
+
 @pytest.mark.parametrize("cells,arm", [("0 0 5 95", "x=1"), ("5 95 0 0", "x=0")])
 @pytest.mark.parametrize("budget", [("--dx", "0.5", "--dy", "0.5"),
                                     ("--f", "0.03", "--g", "0.04")])

@@ -6,7 +6,13 @@ from cubebounds import lp
 from cubebounds.bounds import GridColumns, _constraint_rows
 from cubebounds.core import ObservedJoint
 
-from helpers import bfs_optima, grid_matrix, random_grid_measure, random_lp
+from helpers import (
+    bfs_optima,
+    grid_matrix,
+    random_grid_measure,
+    random_lp,
+    random_tiny_budget_lp,
+)
 
 
 def _solve(sense, costs, matrix, rows):
@@ -144,16 +150,20 @@ def test_weak_duality_at_termination():
 
 
 def test_matches_enumeration_on_seeded_instances():
+    # a basic value may end 10 * TOL_FEAS below zero, which on a budget of
+    # 1e-9 moves the objective by up to that much times the duals
     rng = np.random.default_rng(23)
-    for _ in range(60):
-        costs, matrix, rows = random_lp(rng)
-        status, lo, hi = bfs_optima(costs, matrix, rows)
-        assert status == "optimal"
-        smin = _solve("min", costs, matrix, rows)
-        smax = _solve("max", costs, matrix, rows)
-        assert smin.status == smax.status == lp.OPTIMAL
-        assert smin.objective == pytest.approx(lo, abs=1e-9)
-        assert smax.objective == pytest.approx(hi, abs=1e-9)
+    for generate, slack in ((random_lp, 0.0), (random_tiny_budget_lp, 10 * lp.TOL_FEAS)):
+        for _ in range(60):
+            costs, matrix, rows = generate(rng)
+            status, lo, hi = bfs_optima(costs, matrix, rows)
+            assert status == "optimal"
+            smin = _solve("min", costs, matrix, rows)
+            smax = _solve("max", costs, matrix, rows)
+            assert smin.status == smax.status == lp.OPTIMAL
+            for sol, ref in ((smin, lo), (smax, hi)):
+                tol = 1e-9 + slack * np.abs(sol.dual_values).sum()
+                assert sol.objective == pytest.approx(ref, abs=tol)
 
 
 def test_degenerate_vertices_do_not_cycle():
@@ -182,6 +192,28 @@ def test_ratio_test_narrows_ties_column_by_column():
                             [0.0, 2.0, 0.0],
                             [1.0, 0.0, 0.0]])
     assert simplex.ratio_test(np.array([2.0, 1.0, 1.0])) == 0
+
+
+@pytest.mark.parametrize("xb,d,ref,leaves", [
+    # the ratios 1.5e-9 and 1e-9 lie within TOL_FEAS, so a window on the
+    # ratios would tie them and B_ref pick position 0; the step to its
+    # ratio takes position 1 to 2e-8 - 20 * 1.5e-9 = -1e-8, ten times
+    # TOL_FEAS, so on the residual position 1 leaves alone
+    ([3e-8, 2e-8], [20.0, 20.0], [[0.0, 1.0], [1.0, 0.0]], 1),
+    # position 1's own residual 1.2e-9 - 1.0 * 1e-9 is within TOL_FEAS,
+    # but the step to its ratio 1.2 takes position 0 to -0.2
+    ([1.0, 1.2e-9], [1.0, 1e-9], np.eye(2), 0),
+    # position 0, 5e-10 below zero after an earlier tie, counts as 0 and
+    # ties with ratio 4e-10; at its raw ratio -5e-7 it would leave alone
+    # and the step would run backwards
+    ([-5e-10, 4e-10], [1e-3, 1.0], np.eye(2), 1),
+])
+def test_ratio_test_window_is_on_the_residual(xb, d, ref, leaves):
+    program = lp.LinearProgram("min", lp.DenseColumns([0.0], [[1.0]] * 2),
+                               (("eq", 1.0),) * 2)
+    simplex = lp._Simplex(program)
+    simplex.xb, simplex.binv, simplex.ref = np.array(xb), np.eye(2), np.array(ref)
+    assert simplex.ratio_test(np.array(d)) == leaves
 
 
 def test_solution_reports_iterations():
