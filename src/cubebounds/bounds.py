@@ -51,6 +51,7 @@ class IterationLimitError(RuntimeError):
 
 
 DEFAULT_GRID_M = 64
+REFINE_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ class BoundsRequest:
     of each level is GridColumns(joint, m).  The ladder starts at m grid
     points per axis.  With refine set it doubles m up to max_m, skips
     grids too coarse to carry a feasible measure, and stops at the first
-    solved grid that moves every objective by less than refine_tol from
+    solved grid that moves every objective by less than REFINE_TOL from
     the solved grid before it.  A refused request's least feasible
     budgets walk the same ladder, always refined.
     """
@@ -70,14 +71,11 @@ class BoundsRequest:
     budget: MomentBudget
     m: int = DEFAULT_GRID_M
     refine: bool = True
-    refine_tol: float = 1e-3
     max_m: int = 256
 
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.refine_tol <= 0:
-            raise ValueError("refine_tol must be positive")
         if self.refine and self.max_m < self.m:
             raise ValueError("max_m must not be below the starting grid")
 
@@ -298,7 +296,7 @@ def _ladder(req: BoundsRequest, refine: bool, objective: str, senses,
             solutions.append(sol)
         else:
             settled = last is not None and all(
-                abs(new.objective - old.objective) < req.refine_tol
+                abs(new.objective - old.objective) < REFINE_TOL
                 for new, old in zip(solutions, last[2]))
             last = m, oracle, solutions, settled
             if settled:

@@ -164,6 +164,8 @@ def _read_profiles(path: str):
             raise CliError(f"{path}:{lineno}: {exc}")
     if not profiles:
         raise CliError(f"{path}: no profile rows")
+    if weighted and not sum(weights) > 0:
+        raise CliError(f"{path}: weights must have a positive total")
     return profiles, (weights if weighted else None)
 
 
@@ -270,14 +272,14 @@ def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, fl
 
 
 def _ladder_spec(args, cfg: dict, origin: str) -> dict:
-    """BoundsRequest's grid arguments.  --refine only enables, and m,
-    refine_tol and max_m are passed only when a flag or the config sets
-    them, so their defaults live in BoundsRequest alone.  The config's
-    grid.m is checked even where --grid-m wins."""
+    """BoundsRequest's grid arguments.  --refine only enables, and m and
+    max_m are passed only when a flag or the config sets them, so their
+    defaults live in BoundsRequest alone.  The config's grid.m is checked
+    even where --grid-m wins."""
     gcfg = cfg.get("grid", {})
     if not isinstance(gcfg, dict):
         raise CliError(f"{origin}: grid must be an object")
-    _check_keys(gcfg, {"m", "refine", "refine_tol", "max_m"}, f"{origin}: grid")
+    _check_keys(gcfg, {"m", "refine", "max_m"}, f"{origin}: grid")
     spec = {}
     if "m" in gcfg:
         spec["m"] = _integer(gcfg["m"], f"{origin}: grid.m")
@@ -288,8 +290,6 @@ def _ladder_spec(args, cfg: dict, origin: str) -> dict:
         raise CliError(f"{origin}: grid.refine: expected true or false, "
                        f"got {refine!r}")
     spec["refine"] = args.refine or refine
-    if "refine_tol" in gcfg:
-        spec["refine_tol"] = _number(gcfg["refine_tol"], f"{origin}: grid.refine_tol")
     if "max_m" in gcfg:
         spec["max_m"] = _integer(gcfg["max_m"], f"{origin}: grid.max_m")
     return spec
@@ -515,7 +515,6 @@ def cmd_simulate(args) -> dict:
         "runs": report.runs,
         "grid_m": report.grid_m,
         "budget": {"f": report.budget.f, "g": report.budget.g},
-        "budget_violation": report.budget_violation,
         "oracle": {
             "psi": s.psi, "tau": s.tau, "K": s.K,
             "f_true": s.f_true, "g_true": s.g_true,
@@ -539,8 +538,7 @@ def _simulate_text(report: dict) -> list[str]:
         f"oracle: psi={_fmt(s['psi'])} tau={_fmt(s['tau'])} K={_fmt(s['K'])} "
         f"f_true={_fmt(s['f_true'])} g_true={_fmt(s['g_true'])}",
         f"budget: f={_fmt(budget['f'])} g={_fmt(budget['g'])} "
-        f"(oracle moments + 3 SE)"
-        + (" [below oracle moments]" if report["budget_violation"] else ""),
+        f"(oracle moments + 3 SE)",
         f"grid: m={report['grid_m']}",
         "run      L       U  psi  tau",
     ]

@@ -111,8 +111,9 @@ class AtomicMeasure:
         if abs(w - 1.0) > 1e-9:
             raise ValueError("atom weights must sum to 1")
 
-    def support(self, tol: float = 1e-9) -> tuple[tuple[float, float, float, float], ...]:
-        return tuple(a for a in self.atoms if a[3] > tol)
+    def support(self) -> tuple[tuple[float, float, float, float], ...]:
+        """The atoms of weight above 1e-9."""
+        return tuple(a for a in self.atoms if a[3] > 1e-9)
 
     def expectation(self, fn) -> float:
         """Integrate fn(pi, r0, r1) against the measure."""

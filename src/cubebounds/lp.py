@@ -94,16 +94,12 @@ class DenseColumns:
     def columns(self, js, rows):
         return self._matrix[np.ix_(np.asarray(rows), np.asarray(js))]
 
-    def _reduced(self, y, rows, cost_sign):
+    def price_min(self, y, rows, cost_sign):
         # y is indexed by original row number; rows lists the active ones
         rows = np.asarray(rows)
         rc = -(y[rows] @ self._matrix[rows])
         if cost_sign != 0.0:
             rc = rc + cost_sign * self._costs
-        return rc
-
-    def price_min(self, y, rows, cost_sign):
-        rc = self._reduced(y, rows, cost_sign)
         j = int(np.argmin(rc))
         return j, float(rc[j])
 

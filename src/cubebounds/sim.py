@@ -222,7 +222,6 @@ class CoverageReport:
     tau_coverage: float
     grid_m: int
     budget: MomentBudget
-    budget_violation: bool
     oracle: OracleSummary
     rows: tuple[RunRecord, ...]
 
@@ -241,8 +240,7 @@ def default_budget(summary: OracleSummary, n: int) -> MomentBudget:
 
 
 def coverage_experiment(spec: PopulationSpec, runs: int,
-                        m: int = DEFAULT_GRID_M,
-                        budget: MomentBudget | None = None) -> CoverageReport:
+                        m: int = DEFAULT_GRID_M) -> CoverageReport:
     """Check that computed intervals cover the oracle psi and tau.
 
     Each run draws a fresh sample (run_key = run index), computes the
@@ -251,18 +249,12 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
     restricts the continuum LP, so the grid interval lies inside the
     sharp one and a covered run is covered by the sharp interval too;
     on a coarse grid a miss may be grid error rather than a sharp-bound
-    failure.  A given budget below the oracle moments is flagged in the
-    report, and its runs are still counted.
+    failure.  The budget is default_budget's.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     summary = oracle(spec)
-    violation = False
-    if budget is None:
-        budget = default_budget(summary, spec.N)
-    else:
-        violation = (budget.f < summary.f_true - 1e-12
-                     or budget.g < summary.g_true - 1e-12)
+    budget = default_budget(summary, spec.N)
 
     rows = []
     psi_hits = tau_hits = 0
@@ -277,5 +269,4 @@ def coverage_experiment(spec: PopulationSpec, runs: int,
                               psi_covered=psi_ok, tau_covered=tau_ok))
     return CoverageReport(runs=runs, psi_coverage=psi_hits / runs,
                           tau_coverage=tau_hits / runs, grid_m=m,
-                          budget=budget, budget_violation=violation,
-                          oracle=summary, rows=tuple(rows))
+                          budget=budget, oracle=summary, rows=tuple(rows))

@@ -211,7 +211,7 @@ def assert_certificate(measure, joint, budget, endpoint, tol=1e-6):
     assert vals["f"] <= budget.f + tol
     assert vals["g"] <= budget.g + tol
     assert abs(vals["objective"] - endpoint) <= tol
-    assert len(measure.support(1e-9)) <= 7
+    assert len(measure.support()) <= 7
     assert abs(sum(a[3] for a in measure.atoms) - 1.0) <= 1e-9
     for pi, r0, r1, _ in measure.atoms:
         assert 0 < pi < 1 and 0 < r0 < 1 and 0 < r1 < 1

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubebounds import lp
+from cubebounds import bounds, lp
 from cubebounds.bounds import (
     BoundsRequest,
     EqualityInfeasibleError,
@@ -253,12 +253,12 @@ def test_zero_f_budget_collapses_to_risk_difference():
         assert atom[0] == pytest.approx(joint.px1, abs=1e-9)
 
 
-def test_refinement_converges_on_drug():
+def test_refinement_converges_on_drug(monkeypatch):
     # m=16 is infeasible for this table and gets skipped; the ladder
     # then runs 32 -> 64 -> 128 and the deltas fall below 5e-3
+    monkeypatch.setattr(bounds, "REFINE_TOL", 5e-3)
     iv = solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04),
-                                    16, refine=True, max_m=128,
-                                    refine_tol=5e-3))
+                                    16, refine=True, max_m=128))
     assert iv.converged
     assert iv.grid_resolution == 128
     assert iv.L == pytest.approx(0.146, abs=5e-3)
@@ -282,10 +282,11 @@ def _recorded_solves(monkeypatch):
 
 def test_refine_ladder_solves_each_grid_min_then_max(monkeypatch):
     # an infeasible min skips its grid's max; the ladder stops at the
-    # first grid that moves neither endpoint by refine_tol
+    # first grid that moves neither endpoint by REFINE_TOL
+    monkeypatch.setattr(bounds, "REFINE_TOL", 5e-3)
     calls = _recorded_solves(monkeypatch)
     solve_bounds(BoundsRequest(DRUG, MomentBudget(0.03, 0.04), 16,
-                               refine=True, max_m=128, refine_tol=5e-3))
+                               refine=True, max_m=128))
     assert calls == [(16, "psi", "min", lp.INFEASIBLE)] + [
         (m, "psi", sense, lp.OPTIMAL) for m in (32, 64, 128)
         for sense in ("min", "max")]
@@ -531,9 +532,6 @@ def test_minimal_budget_validation():
 
 
 def test_request_validation():
-    with pytest.raises(ValueError):
-        BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 8,
-                      refine_tol=0.0)
     with pytest.raises(ValueError):
         BoundsRequest(GOLF, MomentBudget(0.1, 0.1), 8, max_m=4)
     # max_m bounds refinement only: a fixed grid may lie above it

@@ -226,14 +226,12 @@ def test_non_finite_k_flag_exits_1(capsys, flag):
 @pytest.mark.parametrize("extra, name, expected", [
     ({"k": float("nan")}, "k", "expected a finite number"),
     ({"k": {"min": float("nan")}}, "k.min", "expected a finite number"),
-    ({"grid": {"refine": True, "refine_tol": float("nan")}}, "grid.refine_tol",
-     "expected a finite number"),
     # bool("false") is True: a string must not switch refinement on
     ({"grid": {"refine": "false"}}, "grid.refine",
      "expected true or false, got 'false'"),
     # int() would truncate 64.7 to 64 without a word
     ({"grid": {"m": 64.7}}, "grid.m", "expected an integer, got 64.7"),
-], ids=["k", "k.min", "grid.refine_tol", "grid.refine", "grid.m"])
+], ids=["k", "k.min", "grid.refine", "grid.m"])
 def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
                                           expected):
     """Non-finite, non-boolean and non-integral config values exit 1 and
@@ -354,13 +352,12 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, module, name,
 
 
 @pytest.mark.parametrize("grid, expected", [
-    ({"refine_tol": 0}, "error: refine_tol must be positive\n"),
     ({"m": 64, "refine": True, "max_m": 32},
      "error: max_m must not be below the starting grid\n"),
-], ids=["refine_tol", "max_m"])
+], ids=["max_m"])
 def test_out_of_range_grid_config_exits_1(capsys, tmp_path, grid, expected):
-    """A refine tolerance of 0 and a refine ceiling below the starting grid
-    exit 1 with the message of BoundsRequest, which names the field."""
+    """A refine ceiling below the starting grid exits 1 with the message
+    of BoundsRequest, which names the field."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
                                   "budget": {"f": 0.03, "g": 0.04}, "grid": grid}))
@@ -489,6 +486,14 @@ def test_unknown_config_key_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "bounds", "--config", str(cfg))
     assert code == 1
     assert "unknown keys" in err
+    # the ladder's settle tolerance is a constant, not a setting
+    cfg.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
+                               "budget": {"f": 0.03, "g": 0.04},
+                               "grid": {"refine_tol": 0.001}}))
+    code, out, err = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {cfg}: grid: unknown keys ['refine_tol']\n"
 
 
 def test_missing_table_exits_1(capsys):
@@ -826,35 +831,47 @@ def test_decompose_weight_column(capsys, tmp_path):
     assert data["population_K"] == pytest.approx(0.75 * 0.05, abs=1e-12)
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
-def test_decompose_refuses_bad_weight(capsys, tmp_path, weight):
+@pytest.mark.parametrize("first, second, expected", [
+    ("3", "nan", ":3: weight must be a finite nonnegative number"),
+    ("3", "inf", ":3: weight must be a finite nonnegative number"),
+    ("3", "-1", ":3: weight must be a finite nonnegative number"),
+    ("0", "0", ": weights must have a positive total"),
+], ids=["nan", "inf", "-1", "zero-total"])
+def test_decompose_refuses_bad_weight(capsys, tmp_path, first, second, expected):
     weighted = tmp_path / "w.csv"
     weighted.write_text(
         "pi,e11,e10,e01,e00,r_given_1,r_given_0,weight\n"
-        "0.5,0.10,0.02,0.03,0.01,0.10,0.01,3\n"
-        f"0.5,0.1,0.1,0.1,0.1,0.1,0.1,{weight}\n")
+        f"0.5,0.10,0.02,0.03,0.01,0.10,0.01,{first}\n"
+        f"0.5,0.1,0.1,0.1,0.1,0.1,0.1,{second}\n")
     for json_flag in ((), ("--json",)):
         code, out, err = run(capsys, "decompose", str(weighted), *json_flag)
         assert code == 1
         assert out == ""
-        assert f"{weighted}:3: weight must be a finite nonnegative number" in err
+        assert f"error: {weighted}{expected}" in err
 
 
 def test_config_k_profiles_refuses_bad_weight(capsys, tmp_path):
     (tmp_path / "p.csv").write_text(
         "pi,e11,e10,e01,e00,r_given_1,r_given_0,weight\n"
         "0.5,0.10,0.02,0.03,0.01,0.10,0.01,nan\n")
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "table": [0.05, 0.45, 0.005, 0.495],
-        "budget": {"f": 0.125, "g": 0.03},
-        "k": {"profiles": "p.csv"},
-        "grid": {"m": 50, "refine": False},
-    }))
-    code, out, err = run(capsys, "bounds", "--config", str(cfg))
-    assert code == 1
-    assert "tau" not in out
-    assert "p.csv:2: weight must be a finite nonnegative number" in err
+    # the profiles fixture with a weight column of zeros
+    lines = (FIXTURES / "profiles.csv").read_text().splitlines()
+    (tmp_path / "w0.csv").write_text(
+        "\n".join([lines[0] + ",weight"] + [ln + ",0" for ln in lines[1:]]) + "\n")
+    for name, expected in (
+            ("p.csv", "p.csv:2: weight must be a finite nonnegative number"),
+            ("w0.csv", f"{tmp_path / 'w0.csv'}: weights must have a positive total")):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "table": [0.05, 0.45, 0.005, 0.495],
+            "budget": {"f": 0.125, "g": 0.03},
+            "k": {"profiles": name},
+            "grid": {"m": 50, "refine": False},
+        }))
+        code, out, err = run(capsys, "bounds", "--config", str(cfg))
+        assert code == 1
+        assert "tau" not in out
+        assert expected in err
 
 
 def test_no_subcommand_exits_1(capsys):

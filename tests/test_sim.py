@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cubebounds.core import MomentBudget, normalize
+from cubebounds.core import normalize
 from cubebounds.sensitivity import IndividualProfile, population_k
 from cubebounds.sim import (
     PopulationSpec,
@@ -263,7 +263,6 @@ def test_coverage_golf_toy_small_battery():
     assert report.runs == 3 and len(report.rows) == 3
     assert report.psi_coverage == 1.0
     assert report.tau_coverage == 1.0
-    assert not report.budget_violation
 
 
 def test_psi_within_two_over_m_of_the_interval_is_a_miss():
@@ -282,18 +281,6 @@ def test_coverage_single_run_report():
     report = coverage_experiment(golf_spec(n=20_000), runs=1,
                                  m=64)
     assert report.runs == 1 and len(report.rows) == 1
-
-
-def test_coverage_flags_budget_below_oracle_moments():
-    rng = np.random.default_rng(73)
-    spec = None
-    while spec is None:
-        candidate = _random_spec(rng, n=50_000)
-        if oracle(candidate).f_true > 0.01:
-            spec = candidate
-    low = MomentBudget(f=oracle(spec).f_true / 2, g=0.2)
-    report = coverage_experiment(spec, runs=1, budget=low)
-    assert report.budget_violation
 
 
 def test_coverage_run_count_validation():
