@@ -226,12 +226,15 @@ def test_non_finite_k_flag_exits_1(capsys, flag):
 @pytest.mark.parametrize("extra, name, expected", [
     ({"k": float("nan")}, "k", "expected a finite number"),
     ({"k": {"min": float("nan")}}, "k.min", "expected a finite number"),
+    # the ladder's settle tolerance is a constant, not a setting
+    ({"grid": {"refine": True, "refine_tol": float("nan")}}, "grid",
+     "unknown keys ['refine_tol']"),
     # bool("false") is True: a string must not switch refinement on
     ({"grid": {"refine": "false"}}, "grid.refine",
      "expected true or false, got 'false'"),
     # int() would truncate 64.7 to 64 without a word
     ({"grid": {"m": 64.7}}, "grid.m", "expected an integer, got 64.7"),
-], ids=["k", "k.min", "grid.refine", "grid.m"])
+], ids=["k", "k.min", "grid.refine_tol", "grid.refine", "grid.m"])
 def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
                                           expected):
     """Non-finite, non-boolean and non-integral config values exit 1 and
@@ -352,18 +355,21 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, module, name,
 
 
 @pytest.mark.parametrize("grid, expected", [
+    # the settle tolerance is the constant bounds.REFINE_TOL: the key is unknown
+    ({"refine_tol": 0}, "error: {config}: grid: unknown keys ['refine_tol']\n"),
     ({"m": 64, "refine": True, "max_m": 32},
      "error: max_m must not be below the starting grid\n"),
-], ids=["max_m"])
+], ids=["refine_tol", "max_m"])
 def test_out_of_range_grid_config_exits_1(capsys, tmp_path, grid, expected):
     """A refine ceiling below the starting grid exits 1 with the message
-    of BoundsRequest, which names the field."""
+    of BoundsRequest, which names the field; a refine tolerance, no longer
+    a setting, exits 1 as an unknown key."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
                                   "budget": {"f": 0.03, "g": 0.04}, "grid": grid}))
     code, out, err = run(capsys, "bounds", "--config", str(config))
     assert code == 1
-    assert err == expected
+    assert err == expected.format(config=config)
     assert out == ""
 
 
@@ -486,14 +492,6 @@ def test_unknown_config_key_exits_1(capsys, tmp_path):
     code, out, err = run(capsys, "bounds", "--config", str(cfg))
     assert code == 1
     assert "unknown keys" in err
-    # the ladder's settle tolerance is a constant, not a setting
-    cfg.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
-                               "budget": {"f": 0.03, "g": 0.04},
-                               "grid": {"refine_tol": 0.001}}))
-    code, out, err = run(capsys, "bounds", "--config", str(cfg))
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {cfg}: grid: unknown keys ['refine_tol']\n"
 
 
 def test_missing_table_exits_1(capsys):
