@@ -10,10 +10,8 @@ exactly enumerable oracles validates the whole chain.
 """
 from .bounds import (
     BoundsRequest,
-    EqualityInfeasibleError,
     GridColumns,
     InfeasibleBudgetError,
-    IterationLimitError,
     minimal_budget,
     solve_bounds,
 )
@@ -28,6 +26,7 @@ from .core import (
     risk_x0,
     risk_x1,
 )
+from .lp import IterationLimitError
 from .sensitivity import (
     BiasDecomposition,
     IndividualProfile,
@@ -61,7 +60,6 @@ __all__ = [
     "ContingencyTable",
     "CoverageReport",
     "DegenerateTableError",
-    "EqualityInfeasibleError",
     "GridColumns",
     "IdentifiedInterval",
     "IndividualProfile",

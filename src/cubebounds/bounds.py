@@ -30,24 +30,20 @@ from .core import (
 )
 
 class InfeasibleBudgetError(RuntimeError):
-    """The requested (f, g) admits no measure on any attempted grid."""
+    """The requested (f, g) admits no measure on any attempted grid.
+
+    minimal_f and minimal_g are the least feasible budgets, each None
+    where none was found; the message ends with one "least feasible"
+    line for each that was."""
 
     def __init__(self, message: str,
                  minimal_f: float | None, minimal_g: float | None):
+        for which, other, value in (("f", "g", minimal_f), ("g", "f", minimal_g)):
+            if value is not None:
+                message += f"\n  least feasible {which} at the given {other}: {value:.6g}"
         super().__init__(message)
         self.minimal_f = minimal_f
         self.minimal_g = minimal_g
-
-
-class EqualityInfeasibleError(RuntimeError):
-    """The observed joint itself is not representable on the grid.
-
-    Happens for boundary-degenerate tables (a cell probability smaller
-    than what the coarsest interior grid coordinate can reproduce)."""
-
-
-class IterationLimitError(RuntimeError):
-    """The simplex iteration budget ran out."""
 
 
 DEFAULT_GRID_M = 64
@@ -263,8 +259,6 @@ def _checked(sol: lp.LpSolution, m: int) -> lp.LpSolution | None:
     error for any other status."""
     if sol.status == lp.INFEASIBLE:
         return None
-    if sol.status == lp.ITERATION_LIMIT:
-        raise IterationLimitError(f"simplex iteration limit at grid m={m}")
     if sol.status != lp.OPTIMAL:
         # the weights are a probability vector and every objective is
         # bounded, so any other status is a numerical failure
@@ -326,11 +320,13 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
 
     The converged flag records whether refinement settled before max_m;
     a fixed-grid request has nothing pending and reports converged.  If
-    no grid carries a feasible measure the error carries the least
-    feasible f and g, each None where no grid represents the table or
-    its LP fails.  A table with an empty treatment arm leaves a
-    conditional risk undefined and raises DegenerateTableError under
-    every budget.
+    no grid carries a feasible measure it raises InfeasibleBudgetError,
+    which carries the least feasible f and g and states them in its
+    message, each left out (None) where no grid represents the table or
+    its LP fails.  A solver failure on the psi ladder raises
+    lp.IterationLimitError or lp.SingularBasisError.  A table with an
+    empty treatment arm leaves a conditional risk undefined and raises
+    DegenerateTableError under every budget.
     """
     risk_x1(req.joint)
     risk_x0(req.joint)
@@ -344,7 +340,7 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
         for which in ("f", "g"):
             try:
                 least.append(minimal_budget(req, which))
-            except (EqualityInfeasibleError, IterationLimitError, lp.SingularBasisError):
+            except (lp.IterationLimitError, lp.SingularBasisError):
                 least.append(None)
         raise InfeasibleBudgetError(
             f"no measure matches the table under f={req.budget.f}, "
@@ -358,13 +354,14 @@ def solve_bounds(req: BoundsRequest) -> IdentifiedInterval:
                               grid_resolution=m, converged=settled or not req.refine)
 
 
-def minimal_budget(req: BoundsRequest, which: str) -> float:
+def minimal_budget(req: BoundsRequest, which: str) -> float | None:
     """Least attainable value of one moment given the request's bound on
-    the other.
+    the other, or None when no grid of the ladder carries a measure.
 
     Minimizes the f (or g) moment over measures that reproduce the
     observed joint and respect the other moment's budget, on the
-    request's ladder refined; used to diagnose a refused request.
+    request's ladder refined; used to diagnose a refused request.  A
+    solver failure raises lp.IterationLimitError or lp.SingularBasisError.
     """
     if which not in ("f", "g"):
         raise ValueError("which must be 'f' or 'g'")
@@ -378,8 +375,4 @@ def minimal_budget(req: BoundsRequest, which: str) -> float:
     # are < 1 on the interior grid, so a bound of 1.0 never binds
     f_bound, g_bound = (1.0, req.budget.g) if which == "f" else (req.budget.f, 1.0)
     level = _ladder(req, True, which, ("min",), f_bound, g_bound)
-    if level is None:
-        raise EqualityInfeasibleError(
-            f"the observed joint is not representable on interior grids up "
-            f"to m={req.max_m}; a near-boundary cell probability is the usual cause")
-    return level[2][0].objective
+    return None if level is None else level[2][0].objective

@@ -26,7 +26,6 @@ from .bounds import (
     DEFAULT_GRID_M,
     BoundsRequest,
     InfeasibleBudgetError,
-    IterationLimitError,
     solve_bounds,
 )
 from .core import (
@@ -250,6 +249,9 @@ def _k_spec(args, cfg: dict, origin: str, cfg_dir: Path) -> tuple[str | None, fl
         k_mode, k_min = "point", _number(spec, f"{origin}: k")
     elif isinstance(spec, dict) and "profiles" in spec:
         _check_keys(spec, {"profiles"}, f"{origin}: k")
+        if not isinstance(spec["profiles"], str):
+            raise CliError(f"{origin}: k.profiles: expected a file path, "
+                           f"got {spec['profiles']!r}")
         profiles, weights = _read_profiles(str(cfg_dir / spec["profiles"]))
         k_mode, k_min = "point", population_k(profiles, weights)
     elif isinstance(spec, dict):
@@ -658,16 +660,10 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1
-    except InfeasibleBudgetError as exc:
+    except InfeasibleBudgetError as exc:  # its message states the least budgets
         print(f"error: {exc}", file=sys.stderr)
-        if exc.minimal_f is not None:
-            print(f"  least feasible f at the given g: {exc.minimal_f:.6g}",
-                  file=sys.stderr)
-        if exc.minimal_g is not None:
-            print(f"  least feasible g at the given f: {exc.minimal_g:.6g}",
-                  file=sys.stderr)
         return 2
-    except (IterationLimitError, lp.SingularBasisError) as exc:
+    except (lp.IterationLimitError, lp.SingularBasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     print(out)

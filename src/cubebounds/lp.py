@@ -27,7 +27,6 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-ITERATION_LIMIT = "iteration_limit"
 
 # Pivot elements smaller than this are treated as zero in ratio tests and
 # when driving artificials out of the basis.
@@ -43,6 +42,10 @@ MAX_ITER = 20000
 
 class SingularBasisError(RuntimeError):
     """Basis algebra failed: a singular basis or a vanishing pivot."""
+
+
+class IterationLimitError(RuntimeError):
+    """A run reached MAX_ITER pivots without an optimal basis."""
 
 
 class ColumnOracle(Protocol):
@@ -266,7 +269,8 @@ class _Simplex:
                                 else 0.0 for cid in self.basis])
         while True:
             if self.iterations >= MAX_ITER:
-                return ITERATION_LIMIT
+                raise IterationLimitError(
+                    f"simplex iteration limit reached (MAX_ITER={MAX_ITER})")
             enter = self.entering(phase)
             if enter is None:
                 return OPTIMAL
@@ -316,18 +320,13 @@ class _Simplex:
     def run(self) -> LpSolution:
         self.start_basis()
 
-        status = self.iterate(phase=1)
-        if status == ITERATION_LIMIT:
-            return self._abort(status)
+        self.iterate(phase=1)
         if float(self.cb @ self.xb) > TOL_FEAS:
             return self._abort(INFEASIBLE)
         self.purge_artificials()
 
-        status = self.iterate(phase=2)
-        if status == ITERATION_LIMIT:
-            return self._abort(status)
-        if status == UNBOUNDED:
-            return self._abort(status, -math.inf if self.sense > 0 else math.inf)
+        if self.iterate(phase=2) == UNBOUNDED:
+            return self._abort(UNBOUNDED, -math.inf if self.sense > 0 else math.inf)
 
         if np.any(self.xb < -TOL_FEAS * 10):
             raise SingularBasisError("negative basic variable at optimum")
@@ -355,7 +354,10 @@ def solve(lp: LinearProgram) -> LpSolution:
     Dantzig pricing over the full column oracle, and the lexicographic
     ratio test from the first pivot, which cannot cycle.  The tolerances
     and the iteration limit are the module constants TOL_FEAS, TOL_OPT and
-    MAX_ITER.  The rule is deterministic, so a numerically singular basis
-    is not retried: it raises SingularBasisError.
+    MAX_ITER.  The status describes the LP: optimal, infeasible or
+    unbounded.  A failure of the solver raises instead: reaching MAX_ITER
+    pivots raises IterationLimitError, and a numerically singular basis,
+    which the deterministic rule would meet again on a retry, raises
+    SingularBasisError.
     """
     return _Simplex(lp).run()

@@ -104,10 +104,13 @@ def population_k(profiles: Iterable[IndividualProfile],
         raise ValueError("weights must match the number of profiles")
     if not all(math.isfinite(w) and w >= 0 for w in weights):
         raise ValueError("weights must be finite and nonnegative")
-    total = sum(weights)
-    if total <= 0:
+    top = max(weights)
+    if top <= 0:
         raise ValueError("weights must have positive total")
-    return sum(w * k for w, k in zip(weights, ks)) / total
+    # relative to the largest weight, the sums cannot overflow, and a
+    # subnormal weight keeps its digits in the products
+    scaled = [w / top for w in weights]
+    return sum(w * k for w, k in zip(scaled, ks)) / sum(scaled)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from cubebounds import cli, lp, sim
-from cubebounds.bounds import IterationLimitError
+from cubebounds.bounds import BoundsRequest, InfeasibleBudgetError, solve_bounds
+from cubebounds.core import ContingencyTable, MomentBudget, normalize
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -100,6 +101,13 @@ def test_bounds_infeasible_budget_exits_2(capsys):
                          "--f", "0.125", "--g", "0.03", "--grid-m", "32")
     assert code == 2
     assert "least feasible" in err
+    # the refusal writes its own diagnosis, so a library caller reads the
+    # same text that the command prints
+    golf = normalize(ContingencyTable(0.05, 0.45, 0.005, 0.495))
+    request = BoundsRequest(golf, MomentBudget(0.125, 0.03), 32, refine=False)
+    with pytest.raises(InfeasibleBudgetError) as info:
+        solve_bounds(request)
+    assert err == f"error: {info.value}\n"
 
 
 def test_table_no_grid_represents_exits_2_without_diagnostics(capsys, tmp_path):
@@ -126,15 +134,17 @@ def test_golf_refusal_at_a_tiny_g_exits_2(capsys, g):
     assert "negative basic variable" not in err
 
 
-def test_singular_diagnosis_lp_drops_only_its_line(capsys, monkeypatch):
+@pytest.mark.parametrize("failure", [lp.SingularBasisError, lp.IterationLimitError],
+                         ids=["singular", "iteration-limit"])
+def test_singular_diagnosis_lp_drops_only_its_line(capsys, monkeypatch, failure):
     solve = lp.solve
 
-    def singular_f(program):
+    def failing_f(program):
         if program.oracle.objective == "f":
-            raise lp.SingularBasisError("negative basic variable at optimum")
+            raise failure("the f diagnosis LP failed")
         return solve(program)
 
-    monkeypatch.setattr(lp, "solve", singular_f)
+    monkeypatch.setattr(lp, "solve", failing_f)
     code, out, err = run(capsys, "bounds", "--table", str(FIXTURES / "golf.tbl"),
                          "--f", "0.125", "--g", "0.03", "--grid-m", "32")
     assert code == 2
@@ -178,13 +188,13 @@ def test_zero_baseline_risk_at_zero_f_reports_an_undefined_ratio(capsys, tmp_pat
 
 
 def test_iteration_limit_maps_to_exit_3(capsys, monkeypatch):
-    def blow_up(req):
-        raise IterationLimitError("simplex iteration limit at grid m=64")
-    monkeypatch.setattr(cli, "solve_bounds", blow_up)
-    code, out, err = run(capsys, "bounds", "--table",
-                         str(FIXTURES / "golf.tbl"), "--f", "0.1",
-                         "--g", "0.1")
+    # the first psi LP reaches the limit inside lp and its error reaches main
+    monkeypatch.setattr(lp, "MAX_ITER", 1)
+    code, out, err = run(capsys, "bounds", "--config", str(FIXTURES / "drug.json"))
     assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
     assert "iteration limit" in err
 
 
@@ -234,11 +244,13 @@ def test_non_finite_k_flag_exits_1(capsys, flag):
      "expected true or false, got 'false'"),
     # int() would truncate 64.7 to 64 without a word
     ({"grid": {"m": 64.7}}, "grid.m", "expected an integer, got 64.7"),
-], ids=["k", "k.min", "grid.refine_tol", "grid.refine", "grid.m"])
+    # a path joined with a number raises TypeError, not an input error
+    ({"k": {"profiles": 5}}, "k.profiles", "expected a file path, got 5"),
+], ids=["k", "k.min", "grid.refine_tol", "grid.refine", "grid.m", "k.profiles"])
 def test_non_finite_config_number_exits_1(capsys, tmp_path, extra, name,
                                           expected):
-    """Non-finite, non-boolean and non-integral config values exit 1 and
-    name the field."""
+    """Non-finite, non-boolean, non-integral and non-string config values
+    exit 1 and name the field."""
     config = tmp_path / "config.json"
     # json.dumps writes NaN as the bare token NaN, which json.loads reads back
     config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),

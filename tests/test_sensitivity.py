@@ -104,6 +104,15 @@ def test_population_k_validation():
         population_k([GOLF_PROFILE], weights=[0.0])
 
 
+@pytest.mark.parametrize("weights", [(3.0, 1.0), (1.5e308, 5e307), (3e-320, 1e-320)],
+                         ids=["plain", "total-overflows", "subnormal"])
+def test_population_k_weights_scale_freely(weights):
+    # k = 0.05 and k = 0 weighted 3:1; a total of inf gave K = 0, and
+    # products of subnormal weights lost digits (0.037549)
+    neutral = IndividualProfile(0.5, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1)
+    assert population_k([GOLF_PROFILE, neutral], weights) == pytest.approx(0.0375, abs=1e-15)
+
+
 def test_population_k_refuses_non_finite_and_negative_weights():
     # totals nan, inf and 2: the total alone lets each of them through
     for bad in (math.nan, math.inf, -1.0):
