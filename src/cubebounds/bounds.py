@@ -73,7 +73,7 @@ class BoundsRequest:
         if self.m < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if self.refine and self.max_m < self.m:
-            raise ValueError("max_m must not be below the starting grid")
+            raise ValueError(f"grid m={self.m} is above the refinement cap max_m={self.max_m}")
 
 
 class GridColumns:
@@ -271,9 +271,11 @@ def _ladder(req: BoundsRequest, refine: bool, objective: str, senses,
             f: float, g: float):
     """The request's grid ladder for one objective under moment bounds f, g.
 
-    Each grid gets one oracle, and its senses are solved in order; an
-    infeasible sense skips the grid.  Returns (m, oracle, solutions,
-    settled) for the last solved grid, or None if no grid was solved.
+    Each grid gets one oracle, and its senses are solved in order: the
+    first cold, each later one from the first's phase-1 basis, which
+    fits any sense over the same oracle and rows.  An infeasible sense
+    skips the grid.  Returns (m, oracle, solutions, settled) for the
+    last solved grid, or None if no grid was solved.
     """
     ms = [req.m]
     while refine and 2 * ms[-1] <= req.max_m:
@@ -282,12 +284,13 @@ def _ladder(req: BoundsRequest, refine: bool, objective: str, senses,
     last = None
     for m in ms:
         oracle = GridColumns(req.joint, m, objective=objective)
-        solutions = []
+        solutions, start = [], None
         for sense in senses:
-            sol = _checked(lp.solve(lp.LinearProgram(sense, oracle, rows)), m)
+            sol = _checked(lp.solve(lp.LinearProgram(sense, oracle, rows, start)), m)
             if sol is None:
                 break
             solutions.append(sol)
+            start = sol.start
         else:
             settled = last is not None and all(
                 abs(new.objective - old.objective) < REFINE_TOL

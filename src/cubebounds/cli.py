@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -277,7 +278,8 @@ def _ladder_spec(args, cfg: dict, origin: str) -> dict:
     """BoundsRequest's grid arguments.  --refine only enables, and m and
     max_m are passed only when a flag or the config sets them, so their
     defaults live in BoundsRequest alone.  The config's grid.m is checked
-    even where --grid-m wins."""
+    even where --grid-m wins, and a refined grid above max_m is refused
+    with the source of the cap: no flag sets it."""
     gcfg = cfg.get("grid", {})
     if not isinstance(gcfg, dict):
         raise CliError(f"{origin}: grid must be an object")
@@ -294,6 +296,11 @@ def _ladder_spec(args, cfg: dict, origin: str) -> dict:
     spec["refine"] = args.refine or refine
     if "max_m" in gcfg:
         spec["max_m"] = _integer(gcfg["max_m"], f"{origin}: grid.max_m")
+    m, max_m = spec.get("m", BoundsRequest.m), spec.get("max_m", BoundsRequest.max_m)
+    if spec["refine"] and m > max_m:
+        source = (f"grid.max_m in {origin}" if "max_m" in spec
+                  else "the default; grid.max_m in a config sets it")
+        raise CliError(f"grid m={m} is above the refinement cap max_m={max_m} ({source})")
     return spec
 
 
@@ -642,10 +649,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on first use: a build costs about ten
+    times a parse, and parsing leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse raises even for --help; keep main() returning an int
         return int(exc.code or 0)

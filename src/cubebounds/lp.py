@@ -15,6 +15,11 @@ start basic receive artificial variables for the two-phase start.
 Maximization is handled by pricing with negated costs.  The ratio test
 is one lexicographic rule from the first pivot, with its tie window on
 the residual basic values, so it cannot cycle and needs no other guard.
+
+Phase 1 never reads the objective, so its feasible basis serves every
+objective over the same oracle and rows.  A solved LP reports that basis
+as `LpSolution.start`; a program given it as `LinearProgram.start` skips
+phase 1 and reports what a cold solve would, phase-1 pivots included.
 """
 from __future__ import annotations
 
@@ -108,12 +113,32 @@ class DenseColumns:
 
 
 @dataclass(frozen=True)
+class FeasibleStart:
+    """The basis at the end of phase 1, after the artificials are purged.
+
+    basis lists the basic column ids by position over the rows left once
+    deleted_rows (in deletion order) are gone; iterations counts phase 1's
+    pivots, the purge's included.  The basis matrix is rebuilt from the ids: oracle columns for
+    the structural ones and unit columns for the slacks.
+    """
+
+    basis: tuple[int, ...]
+    deleted_rows: tuple[int, ...]
+    iterations: int
+
+
+@dataclass(frozen=True)
 class LinearProgram:
-    """min or max of cost . w  subject to  row_i . w (= or <=) rhs_i, w >= 0."""
+    """min or max of cost . w  subject to  row_i . w (= or <=) rhs_i, w >= 0.
+
+    start, when given, is the `LpSolution.start` of a solve over the same
+    oracle and rows, of either sense; the solve then begins at phase 2.
+    """
 
     sense: str  # "min" | "max"
     oracle: ColumnOracle
     rows: tuple[tuple[str, float], ...]  # (relation "eq"|"le", rhs)
+    start: FeasibleStart | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in ("min", "max"):
@@ -123,6 +148,9 @@ class LinearProgram:
         for rel, _ in self.rows:
             if rel not in ("eq", "le"):
                 raise ValueError(f"unknown row relation {rel!r}")
+        if self.start is not None and (
+                len(self.start.basis) + len(self.start.deleted_rows) != len(self.rows)):
+            raise ValueError("start does not fit the rows")
 
 
 @dataclass(frozen=True)
@@ -133,6 +161,7 @@ class LpSolution:
     dual_values: tuple[float, ...]  # per original row; 0.0 for deleted rows
     iterations: int
     deleted_rows: tuple[int, ...] = ()  # original row indices found redundant
+    start: FeasibleStart | None = None  # phase 1's feasible basis; None if infeasible
 
 
 class _Simplex:
@@ -141,7 +170,8 @@ class _Simplex:
     Column ids: 0..n-1 structural, then one slack per "le" row in row
     order, then artificials assigned at the phase-1 start.  Slack and
     artificial columns are the columns of one signed unit block, `units`,
-    over the active rows.
+    over the active rows; a run resumed from a FeasibleStart has no
+    artificials, and its block holds the slacks alone.
 
     The run keeps its basis: `B` holds the basic columns over the active
     rows and `cb` the basic costs of the current phase.  A pivot writes
@@ -172,6 +202,7 @@ class _Simplex:
         self.nslack = len(self.slack_rows)
         self.iterations = 0
         self.deleted: list[int] = []
+        self.start = lp.start
 
     def col(self, cid: int) -> np.ndarray:
         if cid < self.n:
@@ -196,6 +227,25 @@ class _Simplex:
         self.units[art_rows, np.arange(self.nslack, self.units.shape[1])] = signs[art_rows]
         self.basis = basis
         self.B = self.units[:, np.array(basis) - self.n]
+        self.refactorize()
+
+    def resume(self) -> None:
+        """Rebuild phase 1's final basis from self.start: the same rows,
+        ids and pivot count, and a basis matrix equal to it bit for bit."""
+        start = self.start
+        self.deleted = list(start.deleted_rows)
+        self.active = np.delete(np.arange(self.k0), self.deleted)
+        self.iterations = start.iterations
+        self.basis = list(start.basis)
+        units = np.zeros((self.k0, self.nslack))
+        units[self.slack_rows, np.arange(self.nslack)] = 1.0
+        self.units = units[self.active]
+        basis = np.array(self.basis, dtype=int)
+        slack = basis >= self.n
+        self.B = np.zeros((len(basis), len(basis)))
+        self.B[:, slack] = self.units[:, basis[slack] - self.n]
+        if not slack.all():
+            self.B[:, ~slack] = self.oracle.columns(basis[~slack], self.active)
         self.refactorize()
 
     def refactorize(self) -> None:
@@ -318,12 +368,16 @@ class _Simplex:
     # -- driver ----------------------------------------------------------------
 
     def run(self) -> LpSolution:
-        self.start_basis()
-
-        self.iterate(phase=1)
-        if float(self.cb @ self.xb) > TOL_FEAS:
-            return self._abort(INFEASIBLE)
-        self.purge_artificials()
+        if self.start is None:
+            self.start_basis()
+            self.iterate(phase=1)
+            if float(self.cb @ self.xb) > TOL_FEAS:
+                return self._abort(INFEASIBLE)
+            self.purge_artificials()
+            self.start = FeasibleStart(tuple(self.basis), tuple(self.deleted),
+                                       self.iterations)
+        else:
+            self.resume()
 
         if self.iterate(phase=2) == UNBOUNDED:
             return self._abort(UNBOUNDED, -math.inf if self.sense > 0 else math.inf)
@@ -340,12 +394,12 @@ class _Simplex:
             (cid, float(w)) for cid, w in zip(self.basis, xb)
             if cid < self.n and w > 0.0)
         return LpSolution(OPTIMAL, self.sense * internal_obj, support,
-                          tuple(duals), self.iterations, tuple(self.deleted))
+                          tuple(duals), self.iterations, tuple(self.deleted), self.start)
 
     def _abort(self, status: str, objective: float = math.nan) -> LpSolution:
         """A non-optimal result: no support and zero duals."""
         return LpSolution(status, objective, (), (0.0,) * self.k0,
-                          self.iterations, tuple(self.deleted))
+                          self.iterations, tuple(self.deleted), self.start)
 
 
 def solve(lp: LinearProgram) -> LpSolution:
@@ -359,5 +413,9 @@ def solve(lp: LinearProgram) -> LpSolution:
     pivots raises IterationLimitError, and a numerically singular basis,
     which the deterministic rule would meet again on a retry, raises
     SingularBasisError.
+
+    A program with a start skips phase 1 and returns what a cold solve of
+    it returns, field for field; the solution's start is phase 1's basis,
+    or None when phase 1 found the rows infeasible.
     """
     return _Simplex(lp).run()

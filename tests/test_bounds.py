@@ -345,6 +345,85 @@ def test_no_grid_lp_deletes_a_row(monkeypatch):
     assert dense_checked >= 18
 
 
+def _started_cases():
+    cases = [pytest.param(_fixed(GOLF, 0.125, 0.03, 50), id="golf-m50")]
+    cases += [pytest.param(_fixed(DRUG, 0.03, 0.04, m), id=f"drug-m{m}")
+              for m in (64, 128, 256)]
+    # vaccine's config sets f = 0, which is answered without an LP; at
+    # f = g = 0.01 its min is infeasible on m=64 and the max is never solved
+    cases.append(pytest.param(_fixed(VACCINE, 0.01, 0.01, 64), id="vaccine-m64"))
+    rng = np.random.default_rng(53)
+    for m in (3, 4, 5, 8):
+        joint, budget, _ = random_grid_measure(rng, m)
+        cases.append(pytest.param(BoundsRequest(joint, budget, m, refine=False),
+                                  id=f"random-m{m}"))
+    return cases
+
+
+@pytest.mark.parametrize("req", _started_cases())
+def test_max_from_the_min_start_matches_a_cold_solve(monkeypatch, req):
+    # the ladder solves the min cold and starts the max from its phase-1
+    # basis; the max must be what a cold solve returns, to the last bit.
+    # An infeasible min has no start, and the single-sense diagnosis LPs
+    # of the refusal that follows solve cold.
+    programs = []
+    solve = lp.solve
+
+    def recording(program):
+        sol = solve(program)
+        programs.append((program, sol))
+        return sol
+
+    monkeypatch.setattr(lp, "solve", recording)
+    try:
+        solve_bounds(req)
+    except InfeasibleBudgetError:
+        pass
+    psi = [(p, sol) for p, sol in programs if p.oracle.objective == "psi"]
+    pmin, smin = psi[0]
+    assert (pmin.sense, pmin.start) == ("min", None)
+    if smin.status == lp.INFEASIBLE:
+        assert len(psi) == 1 and smin.start is None
+        assert all(p.start is None for p, _ in programs)
+        cold = solve(lp.LinearProgram("max", pmin.oracle, pmin.rows))
+        assert (cold.status, cold.start) == (lp.INFEASIBLE, None)
+        return
+    (pmax, smax), = psi[1:]
+    assert (pmax.sense, pmax.start) == ("max", smin.start)
+    assert pmax.oracle is pmin.oracle and pmax.rows == pmin.rows
+    cold = solve(lp.LinearProgram("max", pmax.oracle, pmax.rows))
+    assert smax == cold
+    assert repr(smax) == repr(cold)
+
+
+def test_both_senses_make_one_phase_1(monkeypatch):
+    # on drug m=64 the ladder prices at zero cost (phase 1 and its purge)
+    # exactly as often as one cold solve, and calls lp.solve once a sense
+    phase1, phase2 = [], []
+    price_min = GridColumns.price_min
+
+    def counting(self, y, rows, cost_sign):
+        (phase1 if cost_sign == 0 else phase2).append(cost_sign)
+        return price_min(self, y, rows, cost_sign)
+
+    monkeypatch.setattr(GridColumns, "price_min", counting)
+    rows = _constraint_rows(DRUG, 0.03, 0.04)
+    cold = {}
+    for sense in ("min", "max"):
+        phase1.clear()
+        phase2.clear()
+        lp.solve(lp.LinearProgram(sense, GridColumns(DRUG, 64), rows))
+        cold[sense] = len(phase1), len(phase2)
+    assert cold["min"][0] == cold["max"][0] > 0
+    phase1.clear()
+    phase2.clear()
+    calls = _recorded_solves(monkeypatch)
+    solve_bounds(_fixed(DRUG, 0.03, 0.04, 64))
+    assert calls == [(64, "psi", sense, lp.OPTIMAL) for sense in ("min", "max")]
+    assert len(phase1) == cold["min"][0]
+    assert len(phase2) == cold["min"][1] + cold["max"][1]
+
+
 def test_refinement_skips_infeasible_levels():
     # m=25 cannot reproduce the golf table (0.25/m > p01); m=50 can
     iv = solve_bounds(BoundsRequest(GOLF, MomentBudget(0.125, 0.03),

@@ -370,11 +370,11 @@ def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, module, name,
     # the settle tolerance is the constant bounds.REFINE_TOL: the key is unknown
     ({"refine_tol": 0}, "error: {config}: grid: unknown keys ['refine_tol']\n"),
     ({"m": 64, "refine": True, "max_m": 32},
-     "error: max_m must not be below the starting grid\n"),
+     "error: grid m=64 is above the refinement cap max_m=32 (grid.max_m in {config})\n"),
 ], ids=["refine_tol", "max_m"])
 def test_out_of_range_grid_config_exits_1(capsys, tmp_path, grid, expected):
-    """A refine ceiling below the starting grid exits 1 with the message
-    of BoundsRequest, which names the field; a refine tolerance, no longer
+    """A refine ceiling below the starting grid exits 1 with both values
+    and the config key that set the ceiling; a refine tolerance, no longer
     a setting, exits 1 as an unknown key."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"table": str(FIXTURES / "drug.tbl"),
@@ -383,6 +383,16 @@ def test_out_of_range_grid_config_exits_1(capsys, tmp_path, grid, expected):
     assert code == 1
     assert err == expected.format(config=config)
     assert out == ""
+
+
+def test_refined_grid_above_the_default_cap_names_both_values(capsys):
+    # no flag sets max_m, so the message says where the cap comes from
+    code, out, err = run(capsys, "bounds", "--table", str(FIXTURES / "drug.tbl"),
+                         "--f", "0.03", "--g", "0.04", "--grid-m", "300", "--refine")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: grid m=300 is above the refinement cap max_m=256 "
+                   "(the default; grid.max_m in a config sets it)\n")
 
 
 def test_fixed_grid_above_max_m_needs_no_refine(capsys):
@@ -515,6 +525,24 @@ def test_missing_table_exits_1(capsys):
 def test_usage_error_exits_1(capsys):
     assert cli.main(["bounds", "--nonsense"]) == 1
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_request(capsys, monkeypatch):
+    # main builds its parser once; a reused parser must answer each request
+    # as a fresh one does, with no flag left over from the request before
+    drug = ("bounds", "--table", str(FIXTURES / "drug.tbl"), "--f", "0.03",
+            "--g", "0.04", "--json")
+    sequence = [(*drug, "--refine"), drug, ("bounds", "--nonsense"),
+                ("simulate", str(FIXTURES / "golf_toy.json"), "--runs", "1"),
+                ("--help",)]
+    cli._parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in sequence]
+    assert cli._parser.cache_info().misses == 1
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in sequence]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
+    assert [json.loads(shared[i][1])["grid"]["refine"] for i in (0, 1)] == [True, False]
 
 
 def test_one_point_grid_is_refused_by_bounds_and_simulate(capsys):

@@ -1,6 +1,8 @@
 """Revised-simplex core against hand cases and basis enumeration."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubebounds import lp
 from cubebounds.bounds import GridColumns, _constraint_rows
@@ -448,3 +450,67 @@ def test_purge_pivots_on_the_largest_abs_reduced_cost():
         assert simplex.run() == lp.solve(program)
         purge_pivots += simplex.purge_pivots
     assert purge_pivots >= 2
+
+
+# -- the phase-1 start -------------------------------------------------------------
+
+
+def _assert_start_matches_cold(oracle, rows):
+    """Each sense started from the other sense's phase-1 basis returns the
+    cold solve's solution field for field, to the last bit; returns the
+    cold solutions by sense."""
+    cold = {sense: lp.solve(lp.LinearProgram(sense, oracle, rows))
+            for sense in ("min", "max")}
+    for sense, other in (("min", "max"), ("max", "min")):
+        start = cold[other].start
+        if start is None:  # phase 1 ignores the sense, so both are infeasible
+            assert cold[sense].status == cold[other].status == lp.INFEASIBLE
+            assert cold[sense].start is None
+            continue
+        warm = lp.solve(lp.LinearProgram(sense, oracle, rows, start))
+        assert warm == cold[sense]
+        assert repr(warm) == repr(cold[sense])
+    return cold
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["as drawn", "no ones row", "negative total"]))
+def test_start_from_the_other_sense_matches_cold_property(seed, variant):
+    # random_lp bounds its LPs with an all-ones equality row: without it a
+    # sense may be unbounded, and a negative total makes the rows infeasible
+    costs, matrix, rows = random_lp(np.random.default_rng(seed))
+    if variant == "no ones row" and len(rows) > 1:
+        matrix, rows = matrix[1:], rows[1:]
+    elif variant == "negative total":
+        rows = (("eq", -1.0),) + rows[1:]
+    cold = _assert_start_matches_cold(lp.DenseColumns(costs, matrix), rows)
+    if variant == "negative total":
+        assert cold["min"].status == lp.INFEASIBLE
+
+
+def test_start_carries_deleted_rows_infeasibility_and_unboundedness():
+    # the grid LP with its implied normalization row: phase 1 deletes a row
+    joint, budget, _ = random_grid_measure(np.random.default_rng(37), 3)
+    costs, matrix = grid_matrix(joint, 3)
+    cold = _assert_start_matches_cold(
+        lp.DenseColumns(costs, np.vstack([matrix, np.ones(27)])),
+        _constraint_rows(joint, budget) + (("eq", 1.0),))
+    assert cold["min"].status == cold["max"].status == lp.OPTIMAL
+    assert len(cold["min"].start.deleted_rows) == 1
+    assert cold["max"].deleted_rows == cold["min"].start.deleted_rows
+    # contradictory equalities: both senses infeasible, neither has a start
+    cold = _assert_start_matches_cold(lp.DenseColumns([1.0, 1.0], [[1.0, 1.0]] * 2),
+                                      (("eq", 1.0), ("eq", 2.0)))
+    assert cold["min"].status == lp.INFEASIBLE
+    # x1 - x2 <= 1: the min is 0 and the max unbounded
+    cold = _assert_start_matches_cold(lp.DenseColumns([1.0, 0.0], [[1.0, -1.0]]),
+                                      (("le", 1.0),))
+    assert (cold["min"].status, cold["max"].status) == (lp.OPTIMAL, lp.UNBOUNDED)
+
+
+def test_start_must_fit_the_rows():
+    start = lp.FeasibleStart(basis=(0,), deleted_rows=(), iterations=1)
+    with pytest.raises(ValueError, match="start does not fit the rows"):
+        lp.LinearProgram("min", lp.DenseColumns([1.0], [[1.0]] * 2),
+                         (("eq", 1.0),) * 2, start)
