@@ -20,6 +20,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import lp, sim
@@ -143,14 +144,18 @@ def _finite_float(text: str) -> float:
 def _read_profiles(path: str):
     """Profiles CSV -> (profiles, weights-or-None); errors name the row."""
     fields = ("pi", "e11", "e10", "e01", "e00", "r_given_1", "r_given_0")
-    reader = csv.DictReader(_read_text(path).splitlines())
-    header = reader.fieldnames or []
+    reader = csv.reader(_read_text(path).splitlines())
+    header = next(reader, [])
     missing = [f for f in fields if f not in header]
     if missing:
         raise CliError(f"{path}:1: missing columns {missing}")
     weighted = "weight" in header
     profiles, weights = [], []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, values in enumerate((v for v in reader if v), start=2):
+        if len(values) != len(header):  # a value past the header has no name
+            raise CliError(f"{path}:{lineno}: expected {len(header)} fields, "
+                           f"got {len(values)}")
+        row = dict(zip(header, values))
         try:
             profiles.append(IndividualProfile(
                 **{f: float(row[f]) for f in fields}))
@@ -160,7 +165,7 @@ def _read_profiles(path: str):
                     raise ValueError("weight must be a finite nonnegative "
                                      f"number, got {row['weight']!r}")
                 weights.append(weight)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(f"{path}:{lineno}: {exc}")
     if not profiles:
         raise CliError(f"{path}: no profile rows")
@@ -195,9 +200,9 @@ def _table(args, cfg: dict, origin: str, cfg_dir: Path) -> ContingencyTable:
     raise CliError(f"{origin}: table must be a path or a 4-value list")
 
 
-def _budget_spec(args, cfg: dict, origin: str) -> tuple:
+def _budget_spec(args, cfg: dict, origin: str, joint: ObservedJoint) -> tuple:
     """(mode, budget, d_x, d_y) from the flags, else the config; in
-    "discrimination" mode the budget is None until the caller calibrates."""
+    "discrimination" mode the budget is calibrated on joint."""
     flag_fg = args.f is not None or args.g is not None
     flag_d = args.dx is not None or args.dy is not None
     if flag_fg and flag_d:
@@ -209,7 +214,7 @@ def _budget_spec(args, cfg: dict, origin: str) -> tuple:
     if flag_d:
         if args.dx is None or args.dy is None:
             raise CliError("--dx and --dy must be given together")
-        return "discrimination", None, args.dx, args.dy
+        return "discrimination", calibrate_budget(joint, args.dx, args.dy), args.dx, args.dy
     if "budget" not in cfg:
         return None, None, None, None
     spec = cfg["budget"]
@@ -220,9 +225,9 @@ def _budget_spec(args, cfg: dict, origin: str) -> tuple:
                                    _number(spec["g"], f"{origin}: budget.g"),
                                    origin), None, None
     if set(spec) == {"d_x", "d_y"}:
-        return ("discrimination", None,
-                _number(spec["d_x"], f"{origin}: budget.d_x"),
-                _number(spec["d_y"], f"{origin}: budget.d_y"))
+        d_x = _number(spec["d_x"], f"{origin}: budget.d_x")
+        d_y = _number(spec["d_y"], f"{origin}: budget.d_y")
+        return "discrimination", calibrate_budget(joint, d_x, d_y), d_x, d_y
     raise CliError(f"{origin}: budget needs exactly the keys "
                    f"{{f, g}} or {{d_x, d_y}}")
 
@@ -314,14 +319,7 @@ def _budget(f: float, g: float, origin: str) -> MomentBudget:
 # -- shared report pieces -----------------------------------------------------
 
 def _table_dict(table: ContingencyTable) -> dict:
-    return {"n11": table.n11, "n10": table.n10, "n01": table.n01,
-            "n00": table.n00, "total": table.total,
-            "frequencies": table.is_frequencies}
-
-
-def _joint_dict(joint: ObservedJoint) -> dict:
-    return {"p11": joint.p11, "p10": joint.p10, "p01": joint.p01,
-            "p00": joint.p00, "px1": joint.px1, "py1": joint.py1}
+    return {**asdict(table), "total": table.total, "frequencies": table.is_frequencies}
 
 
 def _risks(joint: ObservedJoint) -> dict:
@@ -355,7 +353,7 @@ def cmd_bounds(args) -> dict:
     cfg, origin, cfg_dir = _config(args)
     table = _table(args, cfg, origin, cfg_dir)
     joint = normalize(table)
-    mode, budget, d_x, d_y = _budget_spec(args, cfg, origin)
+    mode, budget, d_x, d_y = _budget_spec(args, cfg, origin, joint)
     k_mode, k_min, k_max = _k_spec(args, cfg, origin, cfg_dir)
     ladder = _ladder_spec(args, cfg, origin)
     published = (_number(cfg["published_risk_difference"],
@@ -363,13 +361,11 @@ def cmd_bounds(args) -> dict:
                  if "published_risk_difference" in cfg else None)
     if mode is None:
         raise CliError("no budget given (use --f/--g, --dx/--dy, or a config)")
-    if mode == "discrimination":
-        budget = calibrate_budget(joint, d_x, d_y)
     request = BoundsRequest(joint, budget, **ladder)
     iv = solve_bounds(request)
     report = {
         "table": _table_dict(table),
-        "joint": _joint_dict(joint),
+        "joint": asdict(joint),
         "risks": _risks(joint),
         "budget": {"f": budget.f, "g": budget.g, "mode": mode,
                    "d_x": d_x, "d_y": d_y},
@@ -437,12 +433,11 @@ def cmd_calibrate(args) -> dict:
     cfg, origin, cfg_dir = _config(args)
     table = _table(args, cfg, origin, cfg_dir)
     joint = normalize(table)
-    mode, _, d_x, d_y = _budget_spec(args, cfg, origin)
+    mode, budget, d_x, d_y = _budget_spec(args, cfg, origin, joint)
     if mode != "discrimination":
         raise CliError("calibrate needs discrimination fractions "
                        "(--dx/--dy or a config with budget.d_x/d_y)")
-    budget = calibrate_budget(joint, d_x, d_y)
-    return {"table": _table_dict(table), "joint": _joint_dict(joint),
+    return {"table": _table_dict(table), "joint": asdict(joint),
             "d_x": d_x, "d_y": d_y, "f": budget.f, "g": budget.g}
 
 
@@ -527,15 +522,11 @@ def cmd_simulate(args) -> dict:
         "oracle": {
             "psi": s.psi, "tau": s.tau, "K": s.K,
             "f_true": s.f_true, "g_true": s.g_true,
-            "per_type": [{"pi": t.pi, "r_given_0": t.r_given_0,
-                          "r_given_1": t.r_given_1, "r_int_0": t.r_int_0,
-                          "r_int_1": t.r_int_1, "share": share}
+            "per_type": [{**asdict(t), "share": share}
                          for t, share in zip(s.per_type, s.shares)],
         },
         "coverage": {"psi": report.psi_coverage, "tau": report.tau_coverage},
-        "rows": [{"run": r.run, "L": r.L, "U": r.U,
-                  "psi_covered": r.psi_covered, "tau_covered": r.tau_covered}
-                 for r in report.rows],
+        "rows": [asdict(r) for r in report.rows],
     }
 
 
@@ -562,11 +553,8 @@ def _simulate_text(report: dict) -> list[str]:
 
 def cmd_decompose(args) -> dict:
     profiles, weights = _read_profiles(args.profiles)
-    rows = []
-    for i, profile in enumerate(profiles, start=1):
-        d = decompose(profile)
-        rows.append({"row": i, "delta1": d.delta1, "delta2": d.delta2,
-                     "k": d.k})
+    splits = [decompose(profile) for profile in profiles]
+    rows = [{"row": i, **asdict(d), "k": d.k} for i, d in enumerate(splits, start=1)]
     return {"count": len(profiles),
             "population_K": population_k(profiles, weights),
             "weighted": weights is not None, "profiles": rows}

@@ -17,9 +17,10 @@ is one lexicographic rule from the first pivot, with its tie window on
 the residual basic values, so it cannot cycle and needs no other guard.
 
 Phase 1 never reads the objective, so its feasible basis serves every
-objective over the same oracle and rows.  A solved LP reports that basis
-as `LpSolution.start`; a program given it as `LinearProgram.start` skips
-phase 1 and reports what a cold solve would, phase-1 pivots included.
+objective over the same oracle and rows.  A solved LP reports that basis,
+deleted rows included, as `LpSolution.start`; a program given it as
+`LinearProgram.start` installs it where phase 1 would start and reports
+what a cold solve would, phase-1 pivots included.
 """
 from __future__ import annotations
 
@@ -114,12 +115,13 @@ class DenseColumns:
 
 @dataclass(frozen=True)
 class FeasibleStart:
-    """The basis at the end of phase 1, after the artificials are purged.
+    """A basis to install: phase 1's at its end, after the purge.
 
     basis lists the basic column ids by position over the rows left once
-    deleted_rows (in deletion order) are gone; iterations counts phase 1's
-    pivots, the purge's included.  The basis matrix is rebuilt from the ids: oracle columns for
-    the structural ones and unit columns for the slacks.
+    deleted_rows (in row order) are gone.  A program's start holds
+    structural ids 0..n-1 and slack ids n.. alone; only the record phase 1
+    starts from holds artificials.  iterations counts the pivots made so
+    far, the purge's included.  The basis matrix is rebuilt from the ids.
     """
 
     basis: tuple[int, ...]
@@ -133,6 +135,8 @@ class LinearProgram:
 
     start, when given, is the `LpSolution.start` of a solve over the same
     oracle and rows, of either sense; the solve then begins at phase 2.
+    A start whose ids or deleted rows cannot be those of such a solve
+    is refused.
     """
 
     sense: str  # "min" | "max"
@@ -148,8 +152,16 @@ class LinearProgram:
         for rel, _ in self.rows:
             if rel not in ("eq", "le"):
                 raise ValueError(f"unknown row relation {rel!r}")
-        if self.start is not None and (
-                len(self.start.basis) + len(self.start.deleted_rows) != len(self.rows)):
+        if self.start is None:
+            return
+        n, k0 = self.oracle.n, len(self.rows)
+        slack_rows = [i for i, (rel, _) in enumerate(self.rows) if rel == "le"]
+        basis, deleted = self.start.basis, self.start.deleted_rows
+        if (len(basis) + len(deleted) != k0 or self.start.iterations < 0
+                or len(set(basis)) < len(basis) or len(set(deleted)) < len(deleted)
+                or not all(0 <= cid < n + len(slack_rows) for cid in basis)
+                or not all(0 <= i < k0 for i in deleted)
+                or any(slack_rows[cid - n] in deleted for cid in basis if cid >= n)):
             raise ValueError("start does not fit the rows")
 
 
@@ -160,25 +172,30 @@ class LpSolution:
     support: tuple[tuple[int, float], ...]  # (structural column index, weight)
     dual_values: tuple[float, ...]  # per original row; 0.0 for deleted rows
     iterations: int
-    deleted_rows: tuple[int, ...] = ()  # original row indices found redundant
     start: FeasibleStart | None = None  # phase 1's feasible basis; None if infeasible
+
+    @property
+    def deleted_rows(self) -> tuple[int, ...]:
+        """Original row indices phase 1 found redundant, in row order."""
+        return () if self.start is None else self.start.deleted_rows
 
 
 class _Simplex:
     """One revised-simplex run under the lexicographic ratio test.
 
     Column ids: 0..n-1 structural, then one slack per "le" row in row
-    order, then artificials assigned at the phase-1 start.  Slack and
-    artificial columns are the columns of one signed unit block, `units`,
-    over the active rows; a run resumed from a FeasibleStart has no
-    artificials, and its block holds the slacks alone.
+    order, then one artificial per row whose slack cannot start basic.
+    Their columns form one signed unit block, `block`, built once per run
+    over all rows; `units` holds its active rows.
 
-    The run keeps its basis: `B` holds the basic columns over the active
-    rows and `cb` the basic costs of the current phase.  A pivot writes
-    the entering column into `B` and its cost into `cb`, so it asks the
-    oracle for at most one column and one cost.  `B` is the only basis
-    state: `refactorize` derives its inverse `binv` and the basic values
-    `xb` from it, after the start, every pivot and every row deletion.
+    Every basis enters through `install`: phase 1's slacks and
+    artificials, or the program's start.  The run keeps its basis: `B`
+    holds the basic columns over the active rows and `cb` the basic costs
+    of the current phase.  A pivot writes the entering column into `B`
+    and its cost into `cb`, so it asks the oracle for at most one column
+    and one cost.  `B` is the only basis state: `refactorize` derives its
+    inverse `binv` and the basic values `xb` from it, after the install,
+    every pivot and every row deletion.
 
     The ratio test takes the lexicographically least row of
     [x_B, B^-1 B_ref] / d, B_ref the basis matrix at each phase start
@@ -197,11 +214,20 @@ class _Simplex:
         self.rels = [rel for rel, _ in lp.rows]
         self.rhs = np.array([b for _, b in lp.rows], dtype=float)
         self.k0 = len(self.rels)
-        self.active = np.arange(self.k0)
         self.slack_rows = [i for i, rel in enumerate(self.rels) if rel == "le"]
         self.nslack = len(self.slack_rows)
-        self.iterations = 0
-        self.deleted: list[int] = []
+        # phase 1 starts on the slacks that can be basic and an artificial
+        # for every other row, signed like its rhs so that the starting
+        # point is nonnegative without flipping rows
+        art_rows = [i for i, rel in enumerate(self.rels)
+                    if not (rel == "le" and self.rhs[i] >= 0)]
+        self.block = np.zeros((self.k0, self.nslack + len(art_rows)))
+        self.block[self.slack_rows, np.arange(self.nslack)] = 1.0
+        self.block[art_rows, np.arange(self.nslack, self.block.shape[1])] = np.where(
+            self.rhs[art_rows] >= 0, 1.0, -1.0)
+        ids = [self.n + self.nslack + art_rows.index(i) if i in art_rows
+               else self.n + self.slack_rows.index(i) for i in range(self.k0)]
+        self.phase1_start = FeasibleStart(tuple(ids), (), 0)
         self.start = lp.start
 
     def col(self, cid: int) -> np.ndarray:
@@ -211,41 +237,18 @@ class _Simplex:
 
     # -- basis maintenance -----------------------------------------------------
 
-    def start_basis(self) -> None:
-        basis, art_rows = [], []
-        for i, rel in enumerate(self.rels):
-            if rel == "le" and self.rhs[i] >= 0:
-                basis.append(self.n + self.slack_rows.index(i))
-            else:
-                basis.append(self.n + self.nslack + len(art_rows))
-                art_rows.append(i)
-        # artificials with coefficients matching the rhs signs keep the
-        # starting point nonnegative without flipping rows
-        signs = np.where(self.rhs >= 0, 1.0, -1.0)
-        self.units = np.zeros((self.k0, self.nslack + len(art_rows)))
-        self.units[self.slack_rows, np.arange(self.nslack)] = 1.0
-        self.units[art_rows, np.arange(self.nslack, self.units.shape[1])] = signs[art_rows]
-        self.basis = basis
-        self.B = self.units[:, np.array(basis) - self.n]
-        self.refactorize()
-
-    def resume(self) -> None:
-        """Rebuild phase 1's final basis from self.start: the same rows,
-        ids and pivot count, and a basis matrix equal to it bit for bit."""
-        start = self.start
-        self.deleted = list(start.deleted_rows)
-        self.active = np.delete(np.arange(self.k0), self.deleted)
-        self.iterations = start.iterations
+    def install(self, start: FeasibleStart) -> None:
+        """Make start the current basis: its rows, ids, pivot count and B."""
+        self.active = np.delete(np.arange(self.k0), start.deleted_rows)
+        self.units = self.block[self.active]
         self.basis = list(start.basis)
-        units = np.zeros((self.k0, self.nslack))
-        units[self.slack_rows, np.arange(self.nslack)] = 1.0
-        self.units = units[self.active]
-        basis = np.array(self.basis, dtype=int)
-        slack = basis >= self.n
+        self.iterations = start.iterations
+        basis = np.array(start.basis)
+        unit = basis >= self.n
         self.B = np.zeros((len(basis), len(basis)))
-        self.B[:, slack] = self.units[:, basis[slack] - self.n]
-        if not slack.all():
-            self.B[:, ~slack] = self.oracle.columns(basis[~slack], self.active)
+        self.B[:, unit] = self.units[:, basis[unit] - self.n]
+        if not unit.all():
+            self.B[:, ~unit] = self.oracle.columns(basis[~unit], self.active)
         self.refactorize()
 
     def refactorize(self) -> None:
@@ -340,7 +343,6 @@ class _Simplex:
     # -- phase 1 cleanup ---------------------------------------------------------
 
     def _drop_row(self, pos: int) -> None:
-        self.deleted.append(int(self.active[pos]))
         self.active = np.delete(self.active, pos)
         self.units = np.delete(self.units, pos, axis=0)
         self.B = np.delete(np.delete(self.B, pos, axis=0), pos, axis=1)
@@ -369,15 +371,15 @@ class _Simplex:
 
     def run(self) -> LpSolution:
         if self.start is None:
-            self.start_basis()
+            self.install(self.phase1_start)
             self.iterate(phase=1)
             if float(self.cb @ self.xb) > TOL_FEAS:
                 return self._abort(INFEASIBLE)
             self.purge_artificials()
-            self.start = FeasibleStart(tuple(self.basis), tuple(self.deleted),
-                                       self.iterations)
+            deleted = tuple(i for i in range(self.k0) if i not in self.active)
+            self.start = FeasibleStart(tuple(self.basis), deleted, self.iterations)
         else:
-            self.resume()
+            self.install(self.start)
 
         if self.iterate(phase=2) == UNBOUNDED:
             return self._abort(UNBOUNDED, -math.inf if self.sense > 0 else math.inf)
@@ -394,12 +396,12 @@ class _Simplex:
             (cid, float(w)) for cid, w in zip(self.basis, xb)
             if cid < self.n and w > 0.0)
         return LpSolution(OPTIMAL, self.sense * internal_obj, support,
-                          tuple(duals), self.iterations, tuple(self.deleted), self.start)
+                          tuple(duals), self.iterations, self.start)
 
     def _abort(self, status: str, objective: float = math.nan) -> LpSolution:
         """A non-optimal result: no support and zero duals."""
         return LpSolution(status, objective, (), (0.0,) * self.k0,
-                          self.iterations, tuple(self.deleted), self.start)
+                          self.iterations, self.start)
 
 
 def solve(lp: LinearProgram) -> LpSolution:

@@ -888,6 +888,40 @@ def test_decompose_refuses_bad_weight(capsys, tmp_path, first, second, expected)
         assert f"error: {weighted}{expected}" in err
 
 
+def _profiles_with_wrong_field_counts(tmp_path):
+    """(path, expected error) pairs: the profiles fixture with an eighth
+    value per row but no weight column, and with its second row cut short."""
+    lines = (FIXTURES / "profiles.csv").read_text().splitlines()
+    extra = tmp_path / "extra.csv"
+    extra.write_text("\n".join([lines[0]] + [ln + f",{w}" for ln, w in
+                                             zip(lines[1:], (100, 5, 5))]) + "\n")
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:]) + "\n")
+    return [(extra, f"{extra}:2: expected 7 fields, got 8"),
+            (short, f"{short}:3: expected 7 fields, got 6")]
+
+
+def test_decompose_refuses_a_row_with_the_wrong_field_count(capsys, tmp_path):
+    for path, expected in _profiles_with_wrong_field_counts(tmp_path):
+        for json_flag in ((), ("--json",)):
+            code, out, err = run(capsys, "decompose", str(path), *json_flag)
+            assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
+def test_config_k_profiles_refuses_a_row_with_the_wrong_field_count(
+        capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "solve_bounds", refuse_call)
+    for path, expected in _profiles_with_wrong_field_counts(tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "table": [0.05, 0.45, 0.005, 0.495],
+            "budget": {"f": 0.125, "g": 0.03},
+            "k": {"profiles": path.name},
+        }))
+        code, out, err = run(capsys, "bounds", "--config", str(cfg))
+        assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+
 def test_config_k_profiles_refuses_bad_weight(capsys, tmp_path):
     (tmp_path / "p.csv").write_text(
         "pi,e11,e10,e01,e00,r_given_1,r_given_0,weight\n"

@@ -509,8 +509,26 @@ def test_start_carries_deleted_rows_infeasibility_and_unboundedness():
     assert (cold["min"].status, cold["max"].status) == (lp.OPTIMAL, lp.UNBOUNDED)
 
 
-def test_start_must_fit_the_rows():
-    start = lp.FeasibleStart(basis=(0,), deleted_rows=(), iterations=1)
+# three columns over an equality and a slack row: ids 0-2 are structural
+# and 3 is the slack of row 1
+_FIT_ORACLE = lp.DenseColumns([1, 2, 3], [[1, 1, 1], [0, 0.5, 1]])
+_FIT_ROWS = (("eq", 1.0), ("le", 0.7))
+
+
+@pytest.mark.parametrize("oracle, rows, basis, deleted, iterations", [
+    pytest.param(lp.DenseColumns([1.0], [[1.0]] * 2), (("eq", 1.0),) * 2, (0,), (), 1,
+                 id="length"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (-3, 3), (), 0, id="negative-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 9), (), 0, id="id-past-the-slacks"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 4), (), 0, id="artificial-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 0), (), 0, id="repeated-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (3,), (1,), 0, id="slack-of-a-deleted-row"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS + (("eq", 1.0),), (0,), (1, 1), 0,
+                 id="repeated-deleted-row"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0,), (2,), 0, id="deleted-row-past-the-rows"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 3), (), -1, id="negative-iterations"),
+])
+def test_start_must_fit_the_rows(oracle, rows, basis, deleted, iterations):
+    start = lp.FeasibleStart(basis=basis, deleted_rows=deleted, iterations=iterations)
     with pytest.raises(ValueError, match="start does not fit the rows"):
-        lp.LinearProgram("min", lp.DenseColumns([1.0], [[1.0]] * 2),
-                         (("eq", 1.0),) * 2, start)
+        lp.LinearProgram("min", oracle, rows, start)
