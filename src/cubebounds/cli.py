@@ -151,7 +151,10 @@ def _read_profiles(path: str):
         raise CliError(f"{path}:1: missing columns {missing}")
     weighted = "weight" in header
     profiles, weights = [], []
-    for lineno, values in enumerate((v for v in reader if v), start=2):
+    for values in reader:
+        if not values:
+            continue
+        lineno = reader.line_num
         if len(values) != len(header):  # a value past the header has no name
             raise CliError(f"{path}:{lineno}: expected {len(header)} fields, "
                            f"got {len(values)}")

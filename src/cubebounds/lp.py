@@ -16,11 +16,16 @@ Maximization is handled by pricing with negated costs.  The ratio test
 is one lexicographic rule from the first pivot, with its tie window on
 the residual basic values, so it cannot cycle and needs no other guard.
 
+Column ids: 0..n-1 are the oracle's columns; ~i (that is, -1-i) is row
+i's slack and ~(k + i) its artificial, k the number of rows.  A unit
+column is named by its row, not by n, so ids survive appended columns.
+
 Phase 1 never reads the objective, so its feasible basis serves every
-objective over the same oracle and rows.  A solved LP reports that basis,
-deleted rows included, as `LpSolution.start`; a program given it as
-`LinearProgram.start` installs it where phase 1 would start and reports
-what a cold solve would, phase-1 pivots included.
+objective over the same rows and oracle, or one with columns appended.
+A solved LP reports that basis, deleted rows included, as
+`LpSolution.start`; a program given it as `LinearProgram.start` installs
+it where phase 1 would start and reports what a cold solve would,
+phase-1 pivots included.
 """
 from __future__ import annotations
 
@@ -118,10 +123,10 @@ class FeasibleStart:
     """A basis to install: phase 1's at its end, after the purge.
 
     basis lists the basic column ids by position over the rows left once
-    deleted_rows (in row order) are gone.  A program's start holds
-    structural ids 0..n-1 and slack ids n.. alone; only the record phase 1
-    starts from holds artificials.  iterations counts the pivots made so
-    far, the purge's included.  The basis matrix is rebuilt from the ids.
+    deleted_rows (in row order) are gone: structural ids and the slacks ~i
+    of kept "le" rows, and in phase 1's first record the artificials too.
+    iterations counts the pivots made so far, the purge's included.  The
+    basis matrix is rebuilt from the ids.
     """
 
     basis: tuple[int, ...]
@@ -133,10 +138,12 @@ class FeasibleStart:
 class LinearProgram:
     """min or max of cost . w  subject to  row_i . w (= or <=) rhs_i, w >= 0.
 
-    start, when given, is the `LpSolution.start` of a solve over the same
-    oracle and rows, of either sense; the solve then begins at phase 2.
-    A start whose ids or deleted rows cannot be those of such a solve
-    is refused.
+    start, when given, is the `LpSolution.start` of a solve of either
+    sense over the same rows and oracle, or one with columns appended; the
+    solve then begins at phase 2.  A start that no such solve reports is
+    refused: its ids must be distinct structural ids below n (a larger
+    pool's start may name more) or slacks ~i of kept "le" rows.  A start
+    with a negative basic value is refused by the solve.
     """
 
     sense: str  # "min" | "max"
@@ -155,13 +162,12 @@ class LinearProgram:
         if self.start is None:
             return
         n, k0 = self.oracle.n, len(self.rows)
-        slack_rows = [i for i, (rel, _) in enumerate(self.rows) if rel == "le"]
         basis, deleted = self.start.basis, self.start.deleted_rows
+        slacks = {~i for i, (rel, _) in enumerate(self.rows) if rel == "le" and i not in deleted}
         if (len(basis) + len(deleted) != k0 or self.start.iterations < 0
                 or len(set(basis)) < len(basis) or len(set(deleted)) < len(deleted)
-                or not all(0 <= cid < n + len(slack_rows) for cid in basis)
-                or not all(0 <= i < k0 for i in deleted)
-                or any(slack_rows[cid - n] in deleted for cid in basis if cid >= n)):
+                or not all(0 <= cid < n or cid in slacks for cid in basis)
+                or not all(0 <= i < k0 for i in deleted)):
             raise ValueError("start does not fit the rows")
 
 
@@ -183,10 +189,10 @@ class LpSolution:
 class _Simplex:
     """One revised-simplex run under the lexicographic ratio test.
 
-    Column ids: 0..n-1 structural, then one slack per "le" row in row
-    order, then one artificial per row whose slack cannot start basic.
-    Their columns form one signed unit block, `block`, built once per run
-    over all rows; `units` holds its active rows.
+    Column ids as in the module docstring; the run never reads the
+    oracle's size.  A unit column is built from its id when needed: +1 at
+    a slack's row, at an artificial's the sign of the row's rhs, so that
+    phase 1 starts at a nonnegative point without flipping rows.
 
     Every basis enters through `install`: phase 1's slacks and
     artificials, or the program's start.  The run keeps its basis: `B`
@@ -207,48 +213,42 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram):
         self.oracle = lp.oracle
-        self.n = lp.oracle.n
         self.sense = 1.0 if lp.sense == "min" else -1.0
         self.ref: np.ndarray | None = None
 
-        self.rels = [rel for rel, _ in lp.rows]
         self.rhs = np.array([b for _, b in lp.rows], dtype=float)
-        self.k0 = len(self.rels)
-        self.slack_rows = [i for i, rel in enumerate(self.rels) if rel == "le"]
-        self.nslack = len(self.slack_rows)
-        # phase 1 starts on the slacks that can be basic and an artificial
-        # for every other row, signed like its rhs so that the starting
-        # point is nonnegative without flipping rows
-        art_rows = [i for i, rel in enumerate(self.rels)
-                    if not (rel == "le" and self.rhs[i] >= 0)]
-        self.block = np.zeros((self.k0, self.nslack + len(art_rows)))
-        self.block[self.slack_rows, np.arange(self.nslack)] = 1.0
-        self.block[art_rows, np.arange(self.nslack, self.block.shape[1])] = np.where(
-            self.rhs[art_rows] >= 0, 1.0, -1.0)
-        ids = [self.n + self.nslack + art_rows.index(i) if i in art_rows
-               else self.n + self.slack_rows.index(i) for i in range(self.k0)]
+        self.k0 = len(lp.rows)
+        self.le = np.array([rel == "le" for rel, _ in lp.rows])
+        # phase 1 starts on the slacks that can be basic, artificials elsewhere
+        ids = [~i if self.le[i] and self.rhs[i] >= 0 else ~(self.k0 + i)
+               for i in range(self.k0)]
         self.phase1_start = FeasibleStart(tuple(ids), (), 0)
         self.start = lp.start
 
+    def unit_columns(self, cids: np.ndarray) -> np.ndarray:
+        """The columns of slack and artificial ids cids over the active rows."""
+        rows = ~cids % self.k0
+        signs = np.where((~cids >= self.k0) & (self.rhs[rows] < 0), -1.0, 1.0)
+        return np.where(self.active[:, None] == rows, signs, 0.0)
+
     def col(self, cid: int) -> np.ndarray:
-        if cid < self.n:
-            return self.oracle.columns(np.array([cid]), self.active)[:, 0]
-        return self.units[:, cid - self.n]
+        js = np.array([cid])
+        cols = self.oracle.columns(js, self.active) if cid >= 0 else self.unit_columns(js)
+        return cols[:, 0]
 
     # -- basis maintenance -----------------------------------------------------
 
     def install(self, start: FeasibleStart) -> None:
         """Make start the current basis: its rows, ids, pivot count and B."""
         self.active = np.delete(np.arange(self.k0), start.deleted_rows)
-        self.units = self.block[self.active]
         self.basis = list(start.basis)
         self.iterations = start.iterations
-        basis = np.array(start.basis)
-        unit = basis >= self.n
+        basis = np.array(start.basis, dtype=int)
+        structural = basis >= 0
         self.B = np.zeros((len(basis), len(basis)))
-        self.B[:, unit] = self.units[:, basis[unit] - self.n]
-        if not unit.all():
-            self.B[:, ~unit] = self.oracle.columns(basis[~unit], self.active)
+        self.B[:, ~structural] = self.unit_columns(basis[~structural])
+        if structural.any():
+            self.B[:, structural] = self.oracle.columns(basis[structural], self.active)
         self.refactorize()
 
     def refactorize(self) -> None:
@@ -279,14 +279,13 @@ class _Simplex:
         y_full = np.zeros(self.k0)
         y_full[self.active] = y
         best_id, best_rc = self.oracle.price_min(y_full, self.active, cost_sign)
-        if self.nslack:  # a slack costs nothing, so its reduced cost is -y_row
-            rc = -(y @ self.units[:, :self.nslack])
-            # a basic slack cannot enter
-            basic = [cid - self.n for cid in self.basis if self.n <= cid < self.n + self.nslack]
-            rc[basic] = np.inf
-            t = int(np.argmin(rc))
-            if rc[t] < best_rc:
-                best_id, best_rc = self.n + t, rc[t]
+        # a slack costs nothing, so its reduced cost is -y at its row; rows
+        # without a slack and basic slacks cannot enter
+        rc = np.where(self.le, -y_full, np.inf)
+        rc[[~cid for cid in self.basis if -self.k0 <= cid < 0]] = np.inf
+        t = int(np.argmin(rc))
+        if rc[t] < best_rc:
+            best_id, best_rc = ~t, rc[t]
         return best_id, best_rc
 
     def entering(self, phase: int) -> int | None:
@@ -316,9 +315,9 @@ class _Simplex:
         # phase 1 prices the artificials at 1, phase 2 the structural
         # columns at their signed cost; artificials never enter again
         if phase == 1:
-            self.cb = (np.array(self.basis) >= self.n + self.nslack).astype(float)
+            self.cb = (np.array(self.basis) < -self.k0).astype(float)
         else:
-            self.cb = np.array([self.sense * self.oracle.cost(cid) if cid < self.n
+            self.cb = np.array([self.sense * self.oracle.cost(cid) if cid >= 0
                                 else 0.0 for cid in self.basis])
         while True:
             if self.iterations >= MAX_ITER:
@@ -338,22 +337,20 @@ class _Simplex:
                 return UNBOUNDED
             self.pivot(enter, leave, a, d)
             self.cb[leave] = (self.sense * self.oracle.cost(enter)
-                              if phase == 2 and enter < self.n else 0.0)
+                              if phase == 2 and enter >= 0 else 0.0)
 
     # -- phase 1 cleanup ---------------------------------------------------------
 
     def _drop_row(self, pos: int) -> None:
         self.active = np.delete(self.active, pos)
-        self.units = np.delete(self.units, pos, axis=0)
         self.B = np.delete(np.delete(self.B, pos, axis=0), pos, axis=1)
         del self.basis[pos]
         self.refactorize()
 
     def purge_artificials(self) -> None:
         """Pivot zero-level artificials out; delete rows with no pivot."""
-        art_base = self.n + self.nslack
         while True:
-            pos = next((p for p, cid in enumerate(self.basis) if cid >= art_base), None)
+            pos = next((p for p, cid in enumerate(self.basis) if cid < -self.k0), None)
             if pos is None:
                 return
             # max_j |v . a_j| is the larger of max v . a_j and max -v . a_j,
@@ -380,6 +377,8 @@ class _Simplex:
             self.start = FeasibleStart(tuple(self.basis), deleted, self.iterations)
         else:
             self.install(self.start)
+            if np.any(self.xb < -TOL_FEAS * 10):
+                raise ValueError("start is not feasible")
 
         if self.iterate(phase=2) == UNBOUNDED:
             return self._abort(UNBOUNDED, -math.inf if self.sense > 0 else math.inf)
@@ -394,9 +393,9 @@ class _Simplex:
         duals[self.active] = self.sense * (self.cb @ self.binv)
         support = tuple(
             (cid, float(w)) for cid, w in zip(self.basis, xb)
-            if cid < self.n and w > 0.0)
+            if cid >= 0 and w > 0.0)
         return LpSolution(OPTIMAL, self.sense * internal_obj, support,
-                          tuple(duals), self.iterations, self.start)
+                          tuple(duals.tolist()), self.iterations, self.start)
 
     def _abort(self, status: str, objective: float = math.nan) -> LpSolution:
         """A non-optimal result: no support and zero duals."""

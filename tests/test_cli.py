@@ -858,6 +858,19 @@ def test_decompose_names_bad_row(capsys, tmp_path):
     assert f"{bad}:3" in err
 
 
+def test_decompose_names_the_file_line_past_blank_lines(capsys, tmp_path):
+    # the bad row is the second profile but the file's fifth line
+    header = "pi,e11,e10,e01,e00,r_given_1,r_given_0\n"
+    good = "0.5,0.1,0.1,0.1,0.1,0.1,0.1\n"
+    for bad_row, expected in (("0.5,0.1,0.1,0.1,1.4,0.1,0.1\n",
+                               ":5: e00 must lie in [0, 1], got 1.4"),
+                              ("0.5,0.1,0.1,0.1,0.1,0.1\n", ":5: expected 7 fields, got 6")):
+        bad = tmp_path / "p.csv"
+        bad.write_text(header + "\n" + good + "\n" + bad_row)
+        code, out, err = run(capsys, "decompose", str(bad))
+        assert (code, out, err) == (1, "", f"error: {bad}{expected}\n")
+
+
 def test_decompose_weight_column(capsys, tmp_path):
     weighted = tmp_path / "w.csv"
     weighted.write_text(

@@ -27,6 +27,7 @@ def test_trivial_simplex_vertex():
     sol = _solve("max", [1.0, 1.0], [[1.0, 1.0]], [("eq", 1.0)])
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
+    assert all(type(d) is float for d in sol.dual_values)
 
 
 def test_min_and_max_differ_on_same_feasible_set():
@@ -42,6 +43,7 @@ def test_infeasible_contradictory_equalities():
                  [[1.0, 1.0], [1.0, 1.0]],
                  [("eq", 1.0), ("eq", 2.0)])
     assert sol.status == lp.INFEASIBLE
+    assert all(type(d) is float for d in sol.dual_values)
 
 
 def test_unbounded_direction():
@@ -302,28 +304,27 @@ def _kept_basis_programs():
 
 def _fresh_basis(simplex, phase):
     """The basis matrix and basic costs rebuilt from simplex.basis alone:
-    one oracle.columns fetch for the structural columns and a signed unit
-    column for each slack and artificial."""
-    n, nslack, active = simplex.n, simplex.nslack, list(simplex.active)
-    art_rows = [i for i, (rel, b) in enumerate(zip(simplex.rels, simplex.rhs))
-                if not (rel == "le" and b >= 0)]
-    basis = np.array(simplex.basis)
-    structural = basis < n
+    one oracle.columns fetch for the structural ids 0..n-1 and a signed
+    unit column for each slack ~i and artificial ~(k0 + i) of row i."""
+    k0, active = simplex.k0, list(simplex.active)
+    basis = np.array(simplex.basis, dtype=int)
+    structural = basis >= 0
     B = np.zeros((len(active), len(basis)))
     B[:, structural] = simplex.oracle.columns(basis[structural], simplex.active)
     for pos in np.nonzero(~structural)[0]:
-        cid = int(basis[pos]) - n
-        if cid < nslack:  # a slack's coefficient is +1
-            row, sign = simplex.slack_rows[cid], 1.0
+        row = ~int(basis[pos])
+        if row < k0:  # a slack's coefficient is +1
+            assert simplex.le[row]
+            sign = 1.0
         else:  # an artificial's has the sign of its row's rhs
-            row = art_rows[cid - nslack]
+            row -= k0
             sign = 1.0 if simplex.rhs[row] >= 0 else -1.0
         if row in active:
             B[active.index(row), pos] = sign
     if phase == 1:
-        cb = [1.0 if cid >= n + nslack else 0.0 for cid in simplex.basis]
+        cb = [1.0 if cid < -k0 else 0.0 for cid in simplex.basis]
     else:
-        cb = [simplex.sense * simplex.oracle.cost(cid) if cid < n else 0.0
+        cb = [simplex.sense * simplex.oracle.cost(cid) if cid >= 0 else 0.0
               for cid in simplex.basis]
     return B, np.array(cb)
 
@@ -418,11 +419,13 @@ class _PurgeCheckedSimplex(lp._Simplex):
         assert len(self.priced) == 2
         chosen = -min(rc for _, rc in self.priced)
         self.priced = []
-        v = self.binv[pos]
-        structural = np.abs(v @ self.oracle.columns(np.arange(self.n), self.active))
-        nonbasic = [t for t in range(self.nslack) if self.n + t not in self.basis]
-        slacks = np.abs(v @ self.units[:, nonbasic])
-        return chosen, max(structural.max(), slacks.max(initial=0.0))
+        v, active = self.binv[pos], list(self.active)
+        structural = np.abs(v @ self.oracle.columns(np.arange(self.oracle.n), self.active))
+        # the slack ~i of row i is the unit vector at row i, or zero once
+        # row i is deleted
+        slacks = [abs(v[active.index(i)]) if i in active else 0.0
+                  for i in range(self.k0) if self.le[i] and ~i not in self.basis]
+        return chosen, max(structural.max(), max(slacks, default=0.0))
 
     def pivot(self, enter, leave_pos, a, d):
         if self.purging:
@@ -509,24 +512,55 @@ def test_start_carries_deleted_rows_infeasibility_and_unboundedness():
     assert (cold["min"].status, cold["max"].status) == (lp.OPTIMAL, lp.UNBOUNDED)
 
 
-# three columns over an equality and a slack row: ids 0-2 are structural
-# and 3 is the slack of row 1
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), appended=st.integers(1, 3),
+       sense=st.sampled_from(["min", "max"]))
+def test_start_survives_appended_columns_property(seed, appended, sense):
+    # a start names unit columns by their row, so a pool's phase-1 basis is
+    # still a feasible basis once columns are appended; the grown pool's own
+    # phase 1 may pivot elsewhere, so only status and objective must agree
+    rng = np.random.default_rng(seed)
+    costs, matrix, rows = random_lp(rng)
+    new = rng.normal(size=(len(rows), appended)).round(3)
+    new[0] = 1.0  # random_lp's all-ones first row keeps the LP bounded
+    grown = lp.DenseColumns(np.concatenate([costs, rng.normal(size=appended).round(3)]),
+                            np.hstack([matrix, new]))
+    start = lp.solve(lp.LinearProgram(sense, lp.DenseColumns(costs, matrix), rows)).start
+    assert start is not None
+    cold = lp.solve(lp.LinearProgram(sense, grown, rows))
+    warm = lp.solve(lp.LinearProgram(sense, grown, rows, start))
+    assert warm.status == cold.status == lp.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+
+
+# three columns over an equality and a slack row: ids 0-2 are structural,
+# ~1 is the slack of row 1 and ~(2 + i) the artificial of row i
 _FIT_ORACLE = lp.DenseColumns([1, 2, 3], [[1, 1, 1], [0, 0.5, 1]])
 _FIT_ROWS = (("eq", 1.0), ("le", 0.7))
+
+
+def test_an_infeasible_start_is_refused():
+    # the ids fit the rows, but x2 = 1 leaves row 1's slack at 0.7 - 1 < 0
+    program = lp.LinearProgram("max", _FIT_ORACLE, _FIT_ROWS, lp.FeasibleStart((2, ~1), (), 0))
+    with pytest.raises(ValueError, match="start is not feasible"):
+        lp.solve(program)
 
 
 @pytest.mark.parametrize("oracle, rows, basis, deleted, iterations", [
     pytest.param(lp.DenseColumns([1.0], [[1.0]] * 2), (("eq", 1.0),) * 2, (0,), (), 1,
                  id="length"),
-    pytest.param(_FIT_ORACLE, _FIT_ROWS, (-3, 3), (), 0, id="negative-id"),
-    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 9), (), 0, id="id-past-the-slacks"),
-    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 4), (), 0, id="artificial-id"),
+    # -9 is ~(2 + 6), the artificial of a row that does not exist
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (-9, ~1), (), 0, id="negative-id"),
+    # 3 = n lies past the pool's structural ids
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 3), (), 0, id="id-past-the-slacks"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, ~(2 + 0)), (), 0, id="artificial-id"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 0), (), 0, id="repeated-id"),
-    pytest.param(_FIT_ORACLE, _FIT_ROWS, (3,), (1,), 0, id="slack-of-a-deleted-row"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (~0, 2), (), 0, id="slack-of-an-eq-row"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (~1,), (1,), 0, id="slack-of-a-deleted-row"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS + (("eq", 1.0),), (0,), (1, 1), 0,
                  id="repeated-deleted-row"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (0,), (2,), 0, id="deleted-row-past-the-rows"),
-    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 3), (), -1, id="negative-iterations"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, ~1), (), -1, id="negative-iterations"),
 ])
 def test_start_must_fit_the_rows(oracle, rows, basis, deleted, iterations):
     start = lp.FeasibleStart(basis=basis, deleted_rows=deleted, iterations=iterations)
