@@ -21,11 +21,12 @@ i's slack and ~(k + i) its artificial, k the number of rows.  A unit
 column is named by its row, not by n, so ids survive appended columns.
 
 Phase 1 never reads the objective, so its feasible basis serves every
-objective over the same rows and oracle, or one with columns appended.
+objective over the same rows and oracle, or one with columns appended
+while the rows it deleted stay redundant.
 A solved LP reports that basis, deleted rows included, as
 `LpSolution.start`; a program given it as `LinearProgram.start` installs
-it where phase 1 would start and reports what a cold solve would,
-phase-1 pivots included.
+it where phase 1 would start and, over the same oracle, reports what a
+cold solve would, phase-1 pivots included.
 """
 from __future__ import annotations
 
@@ -43,9 +44,13 @@ UNBOUNDED = "unbounded"
 # when driving artificials out of the basis.
 PIVOT_TOL = 1e-10
 # Primal slack: the largest phase-1 objective still counted as feasible,
-# the most a ratio-test tie may overshoot a basic value, and a tenth of
-# the most negative basic value accepted at the optimum.
+# and the most a ratio-test tie may overshoot a basic value.
 TOL_FEAS = 1e-9
+# The most negative basic value accepted in a start or at the optimum.
+TOL_NEG = 10 * TOL_FEAS
+# A row of B^-1 whose |v . a_j| stays within this for every column j
+# names a redundant row.
+TOL_DEP = 1e-7
 # A column enters only if its reduced cost is below -TOL_OPT.
 TOL_OPT = 1e-9
 MAX_ITER = 20000
@@ -141,9 +146,10 @@ class LinearProgram:
     start, when given, is the `LpSolution.start` of a solve of either
     sense over the same rows and oracle, or one with columns appended; the
     solve then begins at phase 2.  A start that no such solve reports is
-    refused: its ids must be distinct structural ids below n (a larger
-    pool's start may name more) or slacks ~i of kept "le" rows.  A start
-    with a negative basic value is refused by the solve.
+    refused: its ids must be distinct integer structural ids below n (a
+    larger pool's start may name more) or slacks ~i of kept "le" rows.
+    The solve refuses a start with a negative basic value, and one whose
+    deleted rows an appended column has made no longer redundant.
     """
 
     sense: str  # "min" | "max"
@@ -166,9 +172,13 @@ class LinearProgram:
         slacks = {~i for i, (rel, _) in enumerate(self.rows) if rel == "le" and i not in deleted}
         if (len(basis) + len(deleted) != k0 or self.start.iterations < 0
                 or len(set(basis)) < len(basis) or len(set(deleted)) < len(deleted)
-                or not all(0 <= cid < n or cid in slacks for cid in basis)
-                or not all(0 <= i < k0 for i in deleted)):
+                or not all(_is_int(cid) and (0 <= cid < n or cid in slacks) for cid in basis)
+                or not all(_is_int(i) and 0 <= i < k0 for i in deleted)):
             raise ValueError("start does not fit the rows")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer))
 
 
 @dataclass(frozen=True)
@@ -347,22 +357,42 @@ class _Simplex:
         del self.basis[pos]
         self.refactorize()
 
+    def widest(self, pos: int) -> tuple[int, float]:
+        """The column id with the largest |v . a_j|, v row pos of B^-1, over
+        the structural columns and the nonbasic slacks, and that largest value."""
+        # max_j |v . a_j| is the larger of max v . a_j and max -v . a_j,
+        # and zero-cost pricing with duals v and -v gives their negatives
+        v = self.binv[pos, :]
+        best_id, best_rc = min(self.least_reduced_cost(v, 0.0),
+                               self.least_reduced_cost(-v, 0.0), key=lambda c: c[1])
+        return best_id, -best_rc
+
     def purge_artificials(self) -> None:
         """Pivot zero-level artificials out; delete rows with no pivot."""
         while True:
             pos = next((p for p, cid in enumerate(self.basis) if cid < -self.k0), None)
             if pos is None:
                 return
-            # max_j |v . a_j| is the larger of max v . a_j and max -v . a_j,
-            # and zero-cost pricing with duals v and -v gives their negatives
-            v = self.binv[pos, :]
-            best_id, best_rc = min(self.least_reduced_cost(v, 0.0),
-                                   self.least_reduced_cost(-v, 0.0), key=lambda c: c[1])
-            if -best_rc > 1e-7 and best_id not in self.basis:
+            best_id, largest = self.widest(pos)
+            if largest > TOL_DEP and best_id not in self.basis:
                 a = self.col(best_id)
                 self.pivot(best_id, pos, a, self.binv @ a)
             else:
                 self._drop_row(pos)
+
+    def check_deleted_rows(self, start: FeasibleStart) -> None:
+        """Refuse a start that deletes a row the pool no longer makes redundant.
+
+        With the deleted rows' artificials basic after the start's ids, a
+        deleted row stays redundant while its artificial is at zero and, as
+        in purge_artificials, no column prices against its row of B^-1.  An
+        appended column can break that, since phase 1 priced only the pool
+        it saw."""
+        self.install(FeasibleStart(
+            start.basis + tuple(~(self.k0 + i) for i in start.deleted_rows), (), 0))
+        for pos in range(len(start.basis), self.k0):
+            if self.widest(pos)[1] > TOL_DEP or abs(self.xb[pos]) > TOL_NEG:
+                raise ValueError("start deletes a row that is not redundant")
 
     # -- driver ----------------------------------------------------------------
 
@@ -376,14 +406,16 @@ class _Simplex:
             deleted = tuple(i for i in range(self.k0) if i not in self.active)
             self.start = FeasibleStart(tuple(self.basis), deleted, self.iterations)
         else:
+            if self.start.deleted_rows:
+                self.check_deleted_rows(self.start)
             self.install(self.start)
-            if np.any(self.xb < -TOL_FEAS * 10):
+            if np.any(self.xb < -TOL_NEG):
                 raise ValueError("start is not feasible")
 
         if self.iterate(phase=2) == UNBOUNDED:
             return self._abort(UNBOUNDED, -math.inf if self.sense > 0 else math.inf)
 
-        if np.any(self.xb < -TOL_FEAS * 10):
+        if np.any(self.xb < -TOL_NEG):
             raise SingularBasisError("negative basic variable at optimum")
         # round-off weights below zero go, so the objective and the
         # support are computed from the same weights
@@ -415,8 +447,11 @@ def solve(lp: LinearProgram) -> LpSolution:
     which the deterministic rule would meet again on a retry, raises
     SingularBasisError.
 
-    A program with a start skips phase 1 and returns what a cold solve of
-    it returns, field for field; the solution's start is phase 1's basis,
-    or None when phase 1 found the rows infeasible.
+    A program with a start skips phase 1.  Over the oracle the start came
+    from it returns what a cold solve returns, field for field; over a
+    pool with columns appended only the status and the objective match a
+    cold solve, since the iterations and the start are the smaller pool's
+    phase 1.  The solution's start is phase 1's basis, or None when phase 1
+    found the rows infeasible.
     """
     return _Simplex(lp).run()

@@ -546,6 +546,36 @@ def test_an_infeasible_start_is_refused():
         lp.solve(program)
 
 
+# two equal equalities: phase 1 deletes one of them
+_TWIN_ROWS = (("eq", 1.0), ("eq", 2.0))
+
+
+def test_a_start_keeps_its_deleted_rows_only_while_redundant():
+    start = lp.solve(lp.LinearProgram("min", lp.DenseColumns([1, 2], [[1, 1], [2, 2]]),
+                                      _TWIN_ROWS)).start
+    assert start == lp.FeasibleStart((0,), (0,), 1)
+    # an appended column that keeps row 1 twice row 0 keeps the start valid
+    kept = lp.DenseColumns([1, 2, 0.5], [[1, 1, 3], [2, 2, 6]])
+    warm = lp.solve(lp.LinearProgram("min", kept, _TWIN_ROWS, start))
+    cold = lp.solve(lp.LinearProgram("min", kept, _TWIN_ROWS))
+    assert warm.status == cold.status == lp.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+    # column 2 is zero on row 1 and so makes row 0 independent: the
+    # started run, which never sees row 0, would find it unbounded
+    broken = lp.DenseColumns([1, 2, -10], [[1, 1, 1], [2, 2, 0]])
+    assert lp.solve(lp.LinearProgram("min", broken, _TWIN_ROWS)).objective == 1.0
+    with pytest.raises(ValueError, match="start deletes a row that is not redundant"):
+        lp.solve(lp.LinearProgram("min", broken, _TWIN_ROWS, start))
+
+
+def test_a_start_may_not_delete_a_contradicting_row():
+    # rows 0 and 1 ask x0 = 1 and x0 = 2; dropping row 1 would hide that
+    program = lp.LinearProgram("min", lp.DenseColumns([1.0], [[1.0], [1.0]]), _TWIN_ROWS,
+                               lp.FeasibleStart((0,), (1,), 0))
+    with pytest.raises(ValueError, match="start deletes a row that is not redundant"):
+        lp.solve(program)
+
+
 @pytest.mark.parametrize("oracle, rows, basis, deleted, iterations", [
     pytest.param(lp.DenseColumns([1.0], [[1.0]] * 2), (("eq", 1.0),) * 2, (0,), (), 1,
                  id="length"),
@@ -555,6 +585,10 @@ def test_an_infeasible_start_is_refused():
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 3), (), 0, id="id-past-the-slacks"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, ~(2 + 0)), (), 0, id="artificial-id"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, 0), (), 0, id="repeated-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0.5, ~1), (), 0, id="non-integer-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS, (0, -2.0), (), 0, id="non-integer-slack-id"),
+    pytest.param(_FIT_ORACLE, _FIT_ROWS + (("eq", 1.0),), (0, ~1), (2.0,), 0,
+                 id="non-integer-deleted-row"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (~0, 2), (), 0, id="slack-of-an-eq-row"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS, (~1,), (1,), 0, id="slack-of-a-deleted-row"),
     pytest.param(_FIT_ORACLE, _FIT_ROWS + (("eq", 1.0),), (0,), (1, 1), 0,
